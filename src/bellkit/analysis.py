@@ -28,19 +28,9 @@ import numpy as np
 
 from . import kernels
 from .errors import BellkitError, CapExceededError
-from .inequality import (
-    CoefficientVector,
-    _as_vector,
-    reverse_observables,
-)
+from .inequality import CoefficientVector, _as_vector
 from .limits import MATERIALIZE_MAX_SITES, STREAM_MAX_SITES, site_cap
-from .polynomial import (
-    BellPolynomial,
-    UVIndex,
-    bell_poly,
-    from_coefficient_vector,
-    to_coefficient_vector,
-)
+from .polynomial import BellPolynomial, UVIndex, bell_poly
 
 DEFAULT_SAMPLE_SIZE = 10_000_000
 
@@ -232,6 +222,19 @@ def verify_binomial_identity(n_sites: int) -> bool:
     return lhs == rhs
 
 
+def max_b0_pairs(n_sites: int) -> list[tuple[int, int]]:
+    """(u, v) index pairs of the max-b0 members, in construction order.
+
+    v has a single set bit; u is zero or a copy of that bit (bit 0 of u
+    must stay zero).
+    """
+    pairs = []
+    for bit in range(1 << (n_sites - 1)):
+        v = 1 << bit
+        pairs.extend((u, v) for u in ((0,) if bit == 0 else (0, v)))
+    return pairs
+
+
 def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     """All standard-form members whose E(k,k,...,k) coefficient is maximal.
 
@@ -239,10 +242,10 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     2^(N-1) - 1 (the value 2^(N-1) itself only occurs in the trivial
     member, which reduces to coefficient 1). They correspond to a parity
     number with a single set bit and a sign number that is either zero
-    or a copy of that bit (bit 0 of the sign number must stay zero), so
-    there are exactly 2^N - 1 of them, all full-term with odd
-    coefficients. For k = 1 the observable enumeration is reversed,
-    which reverses every coefficient vector.
+    or a copy of that bit (see ``max_b0_pairs``), so there are exactly
+    2^N - 1 of them, all full-term with odd coefficients. For k = 1 the
+    observable enumeration is reversed, which reverses every coefficient
+    vector.
     """
     if n_sites < 3:
         raise BellkitError("the construction applies from 3 sites upward")
@@ -250,21 +253,16 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
         raise BellkitError("the repeated observable digit must be 0 or 1")
     half = 1 << (n_sites - 1)
     members: list[BellPolynomial] = []
-    for bit in range(half):
-        v = 1 << bit
-        for u in ((0,) if bit == 0 else (0, 1 << bit)):
-            poly = bell_poly(UVIndex(n_sites, u, v))
-            coeffs = poly.coeffs
-            if coeffs[0] != half - 1:
-                raise BellkitError("construction lost the maximal coefficient")
-            if any(c % 2 == 0 for c in coeffs):
-                raise BellkitError("construction produced an even coefficient")
-            members.append(poly)
+    for u, v in max_b0_pairs(n_sites):
+        poly = bell_poly(UVIndex(n_sites, u, v))
+        coeffs = poly.coeffs
+        if coeffs[0] != half - 1:
+            raise BellkitError("construction lost the maximal coefficient")
+        if any(c % 2 == 0 for c in coeffs):
+            raise BellkitError("construction produced an even coefficient")
+        members.append(poly)
     if len(members) != (1 << n_sites) - 1:
         raise BellkitError("unexpected family size")
     if k == 1:
-        members = [
-            from_coefficient_vector(reverse_observables(to_coefficient_vector(p)))
-            for p in members
-        ]
+        members = [BellPolynomial(p.n_sites, p.coeffs[::-1]) for p in members]
     return members

@@ -75,6 +75,17 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _jobs(text: str) -> int:
+    """--jobs value: at least 1; larger than the CPU count means the CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, _default_jobs())
+
+
 def _vector_payload(code: int | None, v: inequality.CoefficientVector) -> dict:
     payload = {"n": v.n_sites}
     if code is not None:
@@ -261,12 +272,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_construct(args) -> int:
     members = analysis.max_b0_family(args.n, args.k)
-    half = 1 << (args.n - 1)
-    pairs = []
-    for bit in range(half):
-        for u in ((0,) if bit == 0 else (0, 1 << bit)):
-            pairs.append((u, 1 << bit))
-    for (u, v), poly in zip(pairs, members):
+    for (u, v), poly in zip(analysis.max_b0_pairs(args.n), members):
         if args.format == "text":
             print(str(poly))
         else:
@@ -292,6 +298,12 @@ def _cmd_identity(args) -> int:
 
 
 # -- parser wiring ------------------------------------------------------------
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs(),
+                   help="worker threads, at least 1 (default and upper "
+                        f"limit: the CPU count, {_default_jobs()})")
+
 
 def _add_format(p: argparse.ArgumentParser, choices=("json", "text"),
                 default: str = "json") -> None:
@@ -319,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="required beyond 4 sites (huge output)")
     p.add_argument("--standard-form", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     _add_format(p, choices=("json", "shorthand", "traditional"))
     p.set_defaults(handler=_cmd_enum)
 
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force LHV bound of a vector")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -371,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     _add_format(p)
     p.set_defaults(handler=_cmd_classify)
 

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: JIT-compiled fast path with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 Three inner loops dominate the package's runtime:
 
@@ -6,57 +6,22 @@ Three inner loops dominate the package's runtime:
   (enumeration, completeness cross-checks),
 * streaming classification statistics over millions of sign vectors,
 * the brute-force search over all deterministic measurement strategies.
-
-Each kernel exists twice: a loop-style version compiled with numba's
-``@njit`` and a vectorized numpy version. The backend is fixed at import
-time from the ``BELLKIT_BACKEND`` environment variable:
-
-* ``auto`` (default): numba when importable, numpy otherwise,
-* ``numba``: require the JIT, fail loudly if numba is missing,
-* ``numpy``: force the fallback (useful for debugging and benchmarks).
-
-``benchmarks/bench_backends.py`` times both paths side by side.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND_ENV = "BELLKIT_BACKEND"
-
-_requested = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"{BACKEND_ENV} must be 'auto', 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _numba = None
-
-HAS_NUMBA = _numba is not None
-ACTIVE_BACKEND = "numba" if HAS_NUMBA else "numpy"
+ACTIVE_BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def signs_from_codes_numpy(codes: np.ndarray, length: int) -> np.ndarray:
+def signs_from_codes(codes: np.ndarray, length: int) -> np.ndarray:
     """Decode bitmask codes into rows of +-1 signs (bit j set -> entry j is -1)."""
     codes = np.asarray(codes, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(length, dtype=np.int64)) & 1
     return (1 - 2 * bits).astype(np.int64)
 
 
-def wht_rows_numpy(a: np.ndarray) -> np.ndarray:
+def wht_rows(a: np.ndarray) -> np.ndarray:
     """In-place butterfly transform of every row; row length must be a power of 2.
 
     Equivalent to multiplying each row by the order-matching Sylvester
@@ -74,7 +39,7 @@ def wht_rows_numpy(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def classify_batch_numpy(codes: np.ndarray, length: int):
+def classify_batch(codes: np.ndarray, length: int):
     """Transform a batch of sign-vector codes and accumulate statistics.
 
     Returns (zero_counts, term_histogram, one_term_positions):
@@ -82,7 +47,7 @@ def classify_batch_numpy(codes: np.ndarray, length: int):
     term_histogram[t] counts transforms with exactly t nonzero entries,
     one_term_positions[k] counts 1-term transforms whose term sits at k.
     """
-    a = wht_rows_numpy(signs_from_codes_numpy(codes, length))
+    a = wht_rows(signs_from_codes(codes, length))
     zero_mask = a == 0
     zero_counts = zero_mask.sum(axis=0).astype(np.int64)
     terms = length - zero_mask.sum(axis=1)
@@ -96,8 +61,8 @@ def classify_batch_numpy(codes: np.ndarray, length: int):
     return zero_counts, hist, one_pos
 
 
-def lhv_max_range_numpy(coeffs: np.ndarray, n_sites: int,
-                        m0_start: int, m0_stop: int) -> int:
+def lhv_max_range(coeffs: np.ndarray, n_sites: int,
+                  m0_start: int, m0_stop: int) -> int:
     """Max |sum_k coeffs[k] * prod_i A_i(k_i)| over a strategy sub-range.
 
     Strategies are pairs of n-bit masks (m0, m1); bit b of m_j set means
@@ -117,103 +82,6 @@ def lhv_max_range_numpy(coeffs: np.ndarray, n_sites: int,
         values = pm[idx] @ coeffs
         best = max(best, int(np.abs(values).max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop style, nogil so thread pools can overlap)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _njit = _numba.njit(cache=True, nogil=True)
-
-    @_njit
-    def signs_from_codes_numba(codes, length):  # pragma: no cover - parity-tested
-        out = np.empty((codes.shape[0], length), np.int64)
-        for r in range(codes.shape[0]):
-            c = codes[r]
-            for j in range(length):
-                out[r, j] = 1 - 2 * ((c >> j) & 1)
-        return out
-
-    @_njit
-    def wht_rows_numba(a):  # pragma: no cover - parity-tested
-        rows, n = a.shape
-        for r in range(rows):
-            h = 1
-            while h < n:
-                for i in range(0, n, 2 * h):
-                    for j in range(i, i + h):
-                        x = a[r, j]
-                        y = a[r, j + h]
-                        a[r, j] = x + y
-                        a[r, j + h] = x - y
-                h *= 2
-        return a
-
-    @_njit
-    def classify_batch_numba(codes, length):  # pragma: no cover - parity-tested
-        zero_counts = np.zeros(length, np.int64)
-        hist = np.zeros(length + 1, np.int64)
-        one_pos = np.zeros(length, np.int64)
-        row = np.empty(length, np.int64)
-        for r in range(codes.shape[0]):
-            c = codes[r]
-            for j in range(length):
-                row[j] = 1 - 2 * ((c >> j) & 1)
-            h = 1
-            while h < length:
-                for i in range(0, length, 2 * h):
-                    for j in range(i, i + h):
-                        x = row[j]
-                        y = row[j + h]
-                        row[j] = x + y
-                        row[j + h] = x - y
-                h *= 2
-            t = 0
-            pos = 0
-            for j in range(length):
-                if row[j] == 0:
-                    zero_counts[j] += 1
-                else:
-                    t += 1
-                    pos = j
-            hist[t] += 1
-            if t == 1:
-                one_pos[pos] += 1
-        return zero_counts, hist, one_pos
-
-    @_njit
-    def lhv_max_range_numba(coeffs, n_sites, m0_start, m0_stop):  # pragma: no cover
-        length = 1 << n_sites
-        mask = length - 1
-        parity = np.zeros(length, np.int64)
-        for x in range(1, length):
-            parity[x] = parity[x >> 1] ^ (x & 1)
-        best = 0
-        for m0 in range(m0_start, m0_stop):
-            for m1 in range(length):
-                s = 0
-                for k in range(length):
-                    idx = ((m0 & ~k) | (m1 & k)) & mask
-                    if parity[idx] == 1:
-                        s -= coeffs[k]
-                    else:
-                        s += coeffs[k]
-                if s < 0:
-                    s = -s
-                if s > best:
-                    best = s
-        return best
-
-    signs_from_codes = signs_from_codes_numba
-    wht_rows = wht_rows_numba
-    classify_batch = classify_batch_numba
-    lhv_max_range = lhv_max_range_numba
-else:
-    signs_from_codes = signs_from_codes_numpy
-    wht_rows = wht_rows_numpy
-    classify_batch = classify_batch_numpy
-    lhv_max_range = lhv_max_range_numpy
 
 
 def wht_vector(values) -> np.ndarray:

@@ -106,6 +106,12 @@ def max_lhv(v: CoefficientVector | Sequence[int], *,
         raise CapExceededError(
             f"strategy search capped at {max_sites} sites, got {v.n_sites}"
         )
+    # every strategy value and partial sum is bounded by sum |b_k|, so this
+    # keeps the int64 search exact
+    if sum(abs(c) for c in v.coeffs) >= 1 << 63:
+        raise BellkitError(
+            "strategy search needs the sum of |coefficients| below 2^63"
+        )
     coeffs = np.array(v.coeffs, dtype=np.int64)
     m0_stop = 1 << (v.n_sites - 1)
     if jobs <= 1 or m0_stop < 2 * jobs:

@@ -28,7 +28,11 @@ def _pass(number: int, label: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile/load the JIT kernels outside the timed sections."""
+    """Run each kernel and one CLI command before the timed sections.
+
+    First-call costs (imports, a cold file cache) then do not count
+    against the runtime budgets.
+    """
     kernels.wht_vector([1, 1, 1, -1])
     kernels.classify_batch(np.arange(4, dtype=np.int64), 4)
     kernels.lhv_max_range(np.array([1, 1, 1, -1], np.int64), 2, 0, 2)

@@ -1,7 +1,12 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from bellkit import cli
 from conftest import GOLDEN, read_golden
 
 BASE = [sys.executable, "-m", "bellkit"]
@@ -163,6 +168,17 @@ class TestVerifyCommand:
     def test_bad_coefficients(self):
         run_cli("verify", "--coeffs", "1,x", expect_code=2)
 
+    @pytest.mark.parametrize("coeffs", [
+        "4611686018427387904,4611686018427387904",
+        "9223372036854775807,1,1,-1",
+        "99999999999999999999,1",
+    ])
+    def test_coefficients_beyond_int64_rejected(self, coeffs):
+        out = run_cli("verify", "--coeffs", coeffs, expect_code=2)
+        error = json.loads(out.stderr)
+        assert error["command"] == "verify"
+        assert "2^63" in error["error"]["message"]
+
 
 class TestSingletCommand:
     def test_default_table(self):
@@ -248,3 +264,30 @@ class TestUsageErrors:
 
     def test_bad_choice(self):
         run_cli("hadamard", "--n", "2", "--format", "svg", expect_code=64)
+
+
+JOBS_COMMANDS = [
+    ["enum", "--n", "1"],
+    ["classify", "--n", "2"],
+    ["verify", "--coeffs", "1,1,1,-1"],
+]
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_below_one_is_usage_error(self, command, jobs):
+        out = run_cli(*command, "--jobs", jobs, expect_code=64)
+        assert "--jobs" in out.stderr
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda c: c[0])
+    def test_above_cpu_count_is_clamped(self, command):
+        jobs = str((os.cpu_count() or 1) + 1)
+        assert (run_cli(*command, "--jobs", jobs).stdout
+                == run_cli(*command, "--jobs", "1").stdout)
+
+    def test_type_clamps_large_values_to_cpu_count(self):
+        assert cli._jobs(str(10**9)) == (os.cpu_count() or 1)
+        assert cli._jobs("1") == 1
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._jobs("two")

@@ -1,22 +1,12 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from bellkit import kernels
 from conftest import formula_matrix, popcount_parity
 
-needs_numba = pytest.mark.skipif(
-    not kernels.HAS_NUMBA, reason="numba backend not active"
-)
-
 
 class TestNumpyPath:
     def test_signs_decode(self):
-        out = kernels.signs_from_codes_numpy(np.array([0b0110], np.int64), 4)
+        out = kernels.signs_from_codes(np.array([0b0110], np.int64), 4)
         assert out.tolist() == [[1, -1, -1, 1]]
 
     def test_wht_matches_dense(self):
@@ -25,12 +15,12 @@ class TestNumpyPath:
             dense = formula_matrix(n)
             signs = rng.choice([-1, 1], size=(40, 1 << n)).astype(np.int64)
             expected = signs @ dense.T
-            got = kernels.wht_rows_numpy(signs.copy())
+            got = kernels.wht_rows(signs.copy())
             assert (got == expected).all()
 
     def test_classify_counts_by_hand(self):
         codes = np.arange(16, dtype=np.int64)
-        zero, hist, one_pos = kernels.classify_batch_numpy(codes, 4)
+        zero, hist, one_pos = kernels.classify_batch(codes, 4)
         dense = formula_matrix(2)
         transforms = [
             dense @ np.array([1 - 2 * ((c >> j) & 1) for j in range(4)])
@@ -43,78 +33,12 @@ class TestNumpyPath:
 
     def test_lhv_range_split_agrees(self):
         coeffs = np.array([3, 1, 1, -1, -1, 1, 1, -1], np.int64)
-        full = kernels.lhv_max_range_numpy(coeffs, 3, 0, 4)
+        full = kernels.lhv_max_range(coeffs, 3, 0, 4)
         split = max(
-            kernels.lhv_max_range_numpy(coeffs, 3, 0, 2),
-            kernels.lhv_max_range_numpy(coeffs, 3, 2, 4),
+            kernels.lhv_max_range(coeffs, 3, 0, 2),
+            kernels.lhv_max_range(coeffs, 3, 2, 4),
         )
         assert full == split == 4
-
-
-@needs_numba
-class TestBackendParity:
-    def test_signs(self):
-        codes = np.arange(64, dtype=np.int64)
-        a = kernels.signs_from_codes_numba(codes, 6)
-        b = kernels.signs_from_codes_numpy(codes, 6)
-        assert (a == b).all()
-
-    def test_wht(self):
-        rng = np.random.default_rng(1)
-        data = rng.integers(-9, 10, size=(50, 32)).astype(np.int64)
-        a = kernels.wht_rows_numba(data.copy())
-        b = kernels.wht_rows_numpy(data.copy())
-        assert (a == b).all()
-
-    def test_classify(self):
-        rng = np.random.default_rng(2)
-        codes = rng.integers(0, 1 << 32, size=5000, dtype=np.int64)
-        for got, want in zip(
-            kernels.classify_batch_numba(codes, 32),
-            kernels.classify_batch_numpy(codes, 32),
-        ):
-            assert (got == want).all()
-
-    def test_lhv(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            coeffs = rng.integers(-4, 5, size=16).astype(np.int64)
-            a = kernels.lhv_max_range_numba(coeffs, 4, 0, 8)
-            b = kernels.lhv_max_range_numpy(coeffs, 4, 0, 8)
-            assert a == b
-
-
-class TestBackendSelection:
-    def test_active_backend_is_consistent(self):
-        assert kernels.ACTIVE_BACKEND in ("numba", "numpy")
-        assert kernels.HAS_NUMBA == (kernels.ACTIVE_BACKEND == "numba")
-
-    def test_numpy_flag_forces_fallback(self):
-        env = dict(os.environ, BELLKIT_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from bellkit import kernels; print(kernels.ACTIVE_BACKEND)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_bogus_flag_rejected(self):
-        env = dict(os.environ, BELLKIT_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import bellkit.kernels"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.returncode != 0
-        assert "BELLKIT_BACKEND" in out.stderr
-
-    def test_numpy_backend_end_to_end(self):
-        env = dict(os.environ, BELLKIT_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-m", "bellkit", "verify", "--coeffs", "1,1,1,-1"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        payload = json.loads(out.stdout)["payload"]
-        assert payload["max_lhv"] == 2 and payload["tight"] is True
 
 
 class TestParityHelper:

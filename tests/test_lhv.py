@@ -105,6 +105,19 @@ class TestMaxLhv:
             v = ineq.CoefficientVector.from_ints(coeffs)
             assert lhv.max_lhv(v) >= ineq.bound(v)
 
+    def test_int64_boundary_is_exact(self):
+        v = ineq.CoefficientVector.from_ints([1 << 62, (1 << 62) - 1])
+        assert lhv.max_lhv(v) == brute_max(v) == (1 << 63) - 1
+
+    @pytest.mark.parametrize("coeffs", [
+        [1 << 62, 1 << 62],
+        [(1 << 63) - 1, 1, 1, -1],
+        [99999999999999999999, 1],
+    ])
+    def test_sum_beyond_int64_rejected(self, coeffs):
+        with pytest.raises(BellkitError, match="2\\^63"):
+            lhv.max_lhv(coeffs)
+
     def test_cap(self):
         coeffs = (1,) + (0,) * ((1 << 15) - 1)
         v = ineq.CoefficientVector(15, coeffs)
