@@ -107,6 +107,8 @@ def classify(
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
+    if seed < 0:
+        raise BellkitError(f"seed must be nonnegative, got {seed}")
     length = 1 << n_sites
     cap = min(site_cap(STREAM_MAX_SITES), 5)
     if n_sites > cap:
@@ -180,6 +182,17 @@ def _check_exhaustive(report: ClassificationReport) -> None:
         raise BellkitError("fewer than half of the members are full-term")
     if n in (2, 3) and 2 * report.full_term != total:
         raise BellkitError(f"full-term count must be exactly half for N={n}")
+    length = 1 << n
+    per_position = math.comb(length, length // 2)
+    if any(z != per_position for z in report.zero_counts):
+        raise BellkitError(
+            f"every position must be zero in C({length}, {length // 2}) members"
+        )
+    zeros_by_term = sum((length - t) * h for t, h in enumerate(report.histogram))
+    if zeros_by_term != sum(report.zero_counts):
+        raise BellkitError("histogram zeros disagree with the per-position zeros")
+    if report.histogram[1] != 2 * length:
+        raise BellkitError(f"expected {2 * length} one-term members")
 
 
 def zero_probability(n_sites: int, k: int = 0) -> Fraction:

@@ -256,10 +256,10 @@ def _cmd_classify(args) -> int:
         payload["full_term_stderr"] = report.full_term_stderr
     if args.format == "text":
         print(f"n={report.n_sites} mode={report.mode} total={report.total}")
+        spread = ("" if report.full_term_stderr is None
+                  else f" +- {report.full_term_stderr:.6f}")
         print(f"full-term: {report.full_term} "
-              f"({report.full_term_fraction:.6f}"
-              + (f" +- {report.full_term_stderr:.6f}" if report.full_term_stderr
-                 else "") + ")")
+              f"({report.full_term_fraction:.6f}{spread})")
         if report.trivial_classes is not None:
             print(f"trivial classes: {report.trivial_classes}")
         nonzero = {t: c for t, c in enumerate(report.histogram) if c}

@@ -6,8 +6,16 @@ Three inner loops dominate the package's runtime:
   (enumeration, completeness cross-checks),
 * streaming classification statistics over millions of sign vectors,
 * the brute-force search over all deterministic measurement strategies.
+
+The census never runs the butterfly. With r_k the bitmask of the -1
+entries of Sylvester row k, entry k of the transform of code c is
+2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
+Reed-Muller distance identity), so a zero is a Hamming distance of
+exactly 2^(N-1), and a batch costs a few bytes per code.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,25 +47,45 @@ def wht_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def sylvester_masks(length: int) -> np.ndarray:
+    """Bitmask r_k of the -1 entries of Sylvester row k, for every k.
+
+    Bit j of r_k is the parity of popcount(j AND k), the same bit
+    convention as the codes. Read-only, built once per length on demand.
+    """
+    j = np.arange(length, dtype=np.uint64)
+    parity = np.bitwise_count(j[:, None] & j) & 1
+    masks = (parity.astype(np.uint64) << j).sum(axis=1, dtype=np.uint64)
+    masks.flags.writeable = False
+    return masks
+
+
 def classify_batch(codes: np.ndarray, length: int):
-    """Transform a batch of sign-vector codes and accumulate statistics.
+    """Accumulate transform statistics for a batch of sign-vector codes.
 
     Returns (zero_counts, term_histogram, one_term_positions):
     zero_counts[k] counts transforms with a zero at position k,
     term_histogram[t] counts transforms with exactly t nonzero entries,
     one_term_positions[k] counts 1-term transforms whose term sits at k.
+    The transform itself is never formed (see the module docstring);
+    length is a power of two from 2 to 64.
     """
-    a = wht_rows(signs_from_codes(codes, length))
-    zero_mask = a == 0
-    zero_counts = zero_mask.sum(axis=0).astype(np.int64)
-    terms = length - zero_mask.sum(axis=1)
+    c = np.asarray(codes).astype(np.uint64)
+    half = length // 2
+    masks = sylvester_masks(length)
+    zero_counts = np.empty(length, dtype=np.int64)
+    zeros = np.zeros(c.size, dtype=np.uint8)
+    for k, r in enumerate(masks):
+        z = np.bitwise_count(c ^ r) == half
+        zero_counts[k] = np.count_nonzero(z)
+        zeros += z
+    terms = length - zeros
     hist = np.bincount(terms, minlength=length + 1).astype(np.int64)
-    one_term = np.flatnonzero(terms == 1)
-    if one_term.size:
-        pos = np.abs(a[one_term]).argmax(axis=1)
-        one_pos = np.bincount(pos, minlength=length).astype(np.int64)
-    else:
-        one_pos = np.zeros(length, dtype=np.int64)
+    # a 1-term code has exactly one k whose distance is not length / 2
+    one_term = c[terms == 1]
+    pos = (np.bitwise_count(one_term[:, None] ^ masks) != half).argmax(axis=1)
+    one_pos = np.bincount(pos, minlength=length).astype(np.int64)
     return zero_counts, hist, one_pos
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -115,6 +116,42 @@ class TestClassifyValidation:
     def test_bad_sample_size(self):
         with pytest.raises(BellkitError):
             analysis.classify(5, sample_size=0)
+
+    @pytest.mark.parametrize("kwargs", [{"sample_size": 10}, {"exhaustive": True}])
+    def test_negative_seed(self, kwargs):
+        with pytest.raises(BellkitError, match="seed"):
+            analysis.classify(3, seed=-1, **kwargs)
+
+
+def moved(histogram, *moves):
+    """Histogram with one member moved from bin a to bin b per (a, b)."""
+    out = list(histogram)
+    for a, b in moves:
+        out[a] -= 1
+        out[b] += 1
+    return tuple(out)
+
+
+class TestExhaustiveIdentities:
+    def test_per_position_zero_count(self):
+        r = analysis.classify(3)
+        zeros = (r.zero_counts[0] + 1, r.zero_counts[1] - 1) + r.zero_counts[2:]
+        with pytest.raises(BellkitError, match="every position"):
+            analysis._check_exhaustive(dataclasses.replace(r, zero_counts=zeros))
+
+    def test_histogram_zero_total(self):
+        # same population, same one-term bin, one zero fewer in total
+        r = analysis.classify(3)
+        hist = moved(r.histogram, (4, 5))
+        with pytest.raises(BellkitError, match="histogram zeros"):
+            analysis._check_exhaustive(dataclasses.replace(r, histogram=hist))
+
+    def test_one_term_count(self):
+        # same population and zero total, one one-term member fewer
+        r = analysis.classify(3)
+        hist = moved(r.histogram, (1, 2), (3, 2))
+        with pytest.raises(BellkitError, match="one-term"):
+            analysis._check_exhaustive(dataclasses.replace(r, histogram=hist))
 
 
 class TestZeroProbability:

@@ -221,6 +221,17 @@ class TestClassifyCommand:
     def test_cap(self):
         run_cli("classify", "--n", "6", expect_code=2)
 
+    def test_text_format_zero_stderr(self):
+        # a one-member sample has a standard error of exactly 0
+        out = run_cli("classify", "--n", "5", "--sample", "1", "--format", "text")
+        assert "+- 0.000000)" in out.stdout
+
+    @pytest.mark.parametrize("mode", [["--sample", "10"], ["--exhaustive"]])
+    def test_negative_seed(self, mode):
+        out = run_cli("classify", "--n", "3", *mode, "--seed", "-1", expect_code=2)
+        assert out.stdout == ""
+        assert "seed" in json.loads(out.stderr)["error"]["message"]
+
 
 class TestConstructCommand:
     def test_three_site_family_text_golden(self):

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from bellkit import kernels
 from conftest import formula_matrix, popcount_parity
@@ -39,6 +42,51 @@ class TestNumpyPath:
             kernels.lhv_max_range(coeffs, 3, 2, 4),
         )
         assert full == split == 4
+
+
+def dense_census(codes, n):
+    """classify_batch's three arrays via the dense formula-matrix product."""
+    order = 1 << n
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(order)) & 1)
+    transforms = signs @ formula_matrix(n).T
+    zero_mask = transforms == 0
+    terms = order - zero_mask.sum(axis=1)
+    one_term = transforms[terms == 1]
+    return (
+        zero_mask.sum(axis=0),
+        np.bincount(terms, minlength=order + 1),
+        np.bincount(np.abs(one_term).argmax(axis=1), minlength=order),
+    )
+
+
+class TestClassifyBatchOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_dense_product(self, n):
+        order = 1 << n
+        # +-rows of the matrix are the 2^(N+1) one-term codes
+        row_codes = ((formula_matrix(n) < 0) << np.arange(order)).sum(axis=1)
+        codes = np.concatenate([
+            np.random.default_rng(n).integers(0, 1 << order, size=3000),
+            row_codes,
+            row_codes ^ ((1 << order) - 1),
+        ]).astype(np.int64)
+        got = kernels.classify_batch(codes, order)
+        expected = dense_census(codes, n)
+        assert (expected[2] >= 2).all()
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64
+            assert g.tolist() == e.tolist()
+
+    def test_peak_memory_per_code(self):
+        size = 1 << 16
+        codes = np.random.default_rng(0).integers(0, 1 << 32, size=size)
+        tracemalloc.start()
+        try:
+            kernels.classify_batch(codes, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * size
 
 
 class TestParityHelper:
