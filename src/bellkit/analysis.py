@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector
-from .limits import MATERIALIZE_MAX_SITES, STREAM_MAX_SITES, site_cap
+from .limits import MATERIALIZE_MAX_SITES, STREAM_MAX_SITES
 from .polynomial import BellPolynomial, UVIndex, bell_poly
 
 DEFAULT_SAMPLE_SIZE = 10_000_000
@@ -110,10 +110,9 @@ def classify(
     if seed < 0:
         raise BellkitError(f"seed must be nonnegative, got {seed}")
     length = 1 << n_sites
-    cap = min(site_cap(STREAM_MAX_SITES), 5)
-    if n_sites > cap:
+    if n_sites > STREAM_MAX_SITES:
         raise CapExceededError(
-            f"classification capped at {cap} sites, got {n_sites}"
+            f"classification capped at {STREAM_MAX_SITES} sites, got {n_sites}"
         )
     if exhaustive is None:
         exhaustive = n_sites <= MATERIALIZE_MAX_SITES and sample_size is None

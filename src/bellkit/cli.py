@@ -61,14 +61,19 @@ def _parse_int(text: str) -> int:
         raise BellkitError(f"not an integer: {text!r}") from None
 
 
-def _parse_coeffs(text: str) -> inequality.CoefficientVector:
+def _parse_coeffs(text: str, record=inequality.CoefficientVector):
+    """2^N comma-separated integers as ``record(N, coeffs)``.
+
+    Inequalities reject a zero coefficient sum; polynomials
+    (``record=polynomial.BellPolynomial``) accept it.
+    """
     try:
-        values = [int(part) for part in text.split(",")]
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise BellkitError(
             f"coefficients must be comma-separated integers: {text!r}"
         ) from None
-    return inequality.CoefficientVector.from_ints(values)
+    return record(inequality.site_count(len(values)), values)
 
 
 def _default_jobs() -> int:
@@ -164,8 +169,8 @@ def _cmd_poly(args) -> int:
         poly = polynomial.summand_poly(args.n, args.k)
         return _poly_out(args, "poly", {"n": args.n, "k": args.k}, poly)
     if args.poly_command == "bowtie":
-        a = polynomial.from_coefficient_vector(_parse_coeffs(args.a))
-        b = polynomial.from_coefficient_vector(_parse_coeffs(args.b))
+        a = _parse_coeffs(args.a, polynomial.BellPolynomial)
+        b = _parse_coeffs(args.b, polynomial.BellPolynomial)
         if args.n is not None and a.n_sites != args.n:
             raise BellkitError(
                 f"--a has {a.n_sites} sites, but --n {args.n} was given"
@@ -173,7 +178,7 @@ def _cmd_poly(args) -> int:
         poly = polynomial.bowtie(a, b)
         return _poly_out(args, "poly", {"n": poly.n_sites}, poly)
     # eval
-    poly = polynomial.from_coefficient_vector(_parse_coeffs(args.coeffs))
+    poly = _parse_coeffs(args.coeffs, polynomial.BellPolynomial)
     try:
         z = Fraction(args.z)
     except (ValueError, ZeroDivisionError):

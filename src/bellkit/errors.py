@@ -6,4 +6,4 @@ class BellkitError(ValueError):
 
 
 class CapExceededError(BellkitError):
-    """A size/cap limit was exceeded; see BELLKIT_MAX_N for overrides."""
+    """A size/cap limit was exceeded."""

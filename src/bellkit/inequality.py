@@ -14,7 +14,7 @@ vectors have even entries and coefficient sum +-2^N.
 Sign vectors are encoded as bitmasks: bit j set means c_j = -1. The
 enumeration order is the numeric order of these codes.
 
-Equivalence transforms implemented here (used for orbit computations):
+Relabeling the experiment acts on the coefficients as one group:
 
 * permuting sites permutes the index digits,
 * relabeling the two observables at a site flips that site's digit,
@@ -22,23 +22,26 @@ Equivalence transforms implemented here (used for orbit computations):
   coefficients whose digit there selects that observable,
 * global negation.
 
-These four families are the natural index-level liftings of relabeling
-the experiment; the orbit helper closes a vector under any subset of
-them (negation always included).
+Together these are all maps b'(k) = sigma(k) * b(g(k)) with g a digit
+permutation followed by an XOR translation (n! * 2^n index maps) and
+sigma a row of +-H_n (2^(n+1) sign rows), n! * 2^n * 2^(n+1) elements
+in all (245,760 at five sites). ``symmetry_orbit`` and ``canonical``
+apply that whole group as two cached integer tables, up to five sites.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
+from . import hadamard, kernels
 from .errors import BellkitError, CapExceededError
-from .limits import MATERIALIZE_MAX_SITES, STREAM_MAX_SITES, site_cap
+from .limits import MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, STREAM_MAX_SITES
 
 MINUS = "−"  # sign used by the traditional rendering
 LEQ = "≤"
@@ -72,12 +75,17 @@ class CoefficientVector:
     def from_ints(cls, values: Iterable[int]) -> "CoefficientVector":
         """Build from a plain sequence, inferring the site count."""
         coeffs = tuple(int(v) for v in values)
-        n = (len(coeffs) - 1).bit_length()
-        if len(coeffs) < 2 or len(coeffs) != 1 << n:
-            raise BellkitError(
-                f"coefficient count must be a power of two >= 2, got {len(coeffs)}"
-            )
-        return cls(n, coeffs)
+        return cls(site_count(len(coeffs)), coeffs)
+
+
+def site_count(n_coeffs: int) -> int:
+    """N for 2^N coefficients; other counts are an error."""
+    n = (n_coeffs - 1).bit_length()
+    if n_coeffs < 2 or n_coeffs != 1 << n:
+        raise BellkitError(
+            f"coefficient count must be a power of two >= 2, got {n_coeffs}"
+        )
+    return n
 
 
 class StandardForm(CoefficientVector):
@@ -190,17 +198,16 @@ def enumerate_inequalities(
     computed in code-range batches; with jobs > 1 upcoming batches are
     prepared on worker threads while the current one is consumed.
     """
-    cap = site_cap(STREAM_MAX_SITES)
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
-    if n_sites > cap:
-        raise CapExceededError(f"enumeration capped at {cap} sites, got {n_sites}")
+    if n_sites > STREAM_MAX_SITES:
+        raise CapExceededError(
+            f"enumeration capped at {STREAM_MAX_SITES} sites, got {n_sites}"
+        )
     if n_sites > MATERIALIZE_MAX_SITES and not stream:
         raise BellkitError(
             f"{n_sites} sites means 2^{1 << n_sites} items; pass stream=True"
         )
-    if (1 << n_sites) > 62:
-        raise CapExceededError("sign-vector codes beyond 62 bits are unsupported")
 
     total = 1 << (1 << n_sites)
     starts = range(0, total, batch_size)
@@ -256,96 +263,86 @@ def reverse_observables(v: CoefficientVector | Sequence[int]) -> CoefficientVect
     return CoefficientVector(v.n_sites, tuple(reversed(v.coeffs)))
 
 
-# -- equivalence transforms --------------------------------------------------
+# -- relabeling group ---------------------------------------------------------
 
-def negate(v: CoefficientVector) -> CoefficientVector:
-    return CoefficientVector(v.n_sites, tuple(-c for c in v.coeffs))
+@lru_cache(maxsize=None)
+def _relabelings(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The relabeling group of n sites as two read-only int64 tables.
 
-
-def site_permutation(v: CoefficientVector, perm: Sequence[int]) -> CoefficientVector:
-    """Permute sites: new digit i is the old digit perm[i] (0-based)."""
-    n = v.n_sites
-    if sorted(perm) != list(range(n)):
-        raise BellkitError(f"not a permutation of {n} sites: {perm!r}")
-    out = [0] * len(v.coeffs)
-    for k, c in enumerate(v.coeffs):
-        digits = setting_digits(k, n)
-        k2 = 0
-        for i in range(n):
-            k2 = (k2 << 1) | digits[perm[i]]
-        out[k2] = c
-    return CoefficientVector(n, tuple(out))
-
-
-def observable_flip(v: CoefficientVector, site: int) -> CoefficientVector:
-    """Swap the two observables at the given site (0-based)."""
-    n = v.n_sites
-    if not 0 <= site < n:
-        raise BellkitError(f"site {site} out of range")
-    bit = 1 << (n - 1 - site)
-    out = [0] * len(v.coeffs)
-    for k, c in enumerate(v.coeffs):
-        out[k ^ bit] = c
-    return CoefficientVector(n, tuple(out))
+    Every relabeling maps b to b'(k) = sigma(k) * b(g(k)). ``index_maps``
+    has shape (n!, 2^n, 2^n): entry [p, t, k] is g(k) for the site
+    permutation p of the index digits followed by the translation k ^ t
+    (the observable swaps). ``sign_rows`` has shape (2^(n+1), 2^n): the
+    rows of +-H_n (the value flips, with and without global negation).
+    """
+    order = 1 << n_sites
+    ks = np.arange(order, dtype=np.int64)
+    weights = 1 << np.arange(n_sites - 1, -1, -1, dtype=np.int64)
+    digits = (ks[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1
+    permuted = np.array([digits[:, list(perm)] @ weights
+                         for perm in itertools.permutations(range(n_sites))])
+    index_maps = permuted[:, None, :] ^ ks[None, :, None]
+    h = hadamard.build(n_sites).entries.astype(np.int64)
+    sign_rows = np.concatenate([h, -h])
+    index_maps.flags.writeable = False
+    sign_rows.flags.writeable = False
+    return index_maps, sign_rows
 
 
-def value_flip(v: CoefficientVector, site: int, observable: int) -> CoefficientVector:
-    """Negate the outcome signs of one observable at one site."""
-    n = v.n_sites
-    if not 0 <= site < n:
-        raise BellkitError(f"site {site} out of range")
-    if observable not in (0, 1):
-        raise BellkitError("observable must be 0 or 1")
-    shift = n - 1 - site
-    coeffs = tuple(
-        -c if ((k >> shift) & 1) == observable else c
-        for k, c in enumerate(v.coeffs)
-    )
-    return CoefficientVector(n, coeffs)
+def _orbit_blocks(v: CoefficientVector) -> tuple[int, Iterator[np.ndarray]]:
+    """The gcd of v and the orbit of v / gcd, one site permutation at a time.
+
+    Each block holds the 2^(n+1) * 2^n images under one site permutation
+    combined with every translation and sign row (repeats included).
+    """
+    if v.n_sites > ORBIT_MAX_SITES:
+        raise CapExceededError(
+            f"symmetry orbits capped at {ORBIT_MAX_SITES} sites, got {v.n_sites}"
+        )
+    g = math.gcd(*v.coeffs)
+    reduced = [c // g for c in v.coeffs]
+    # every image entry and row sum is bounded by sum |b_k|
+    if sum(abs(c) for c in reduced) >= 1 << 63:
+        raise BellkitError(
+            "symmetry orbits need the sum of |coefficients| / gcd below 2^63"
+        )
+    b = np.array(reduced, dtype=np.int64)
+    index_maps, sign_rows = _relabelings(v.n_sites)
+    # an image sums to +-(H b)[a] for some a, and every a occurs
+    if not np.all(sign_rows @ b):
+        raise BellkitError("coefficient sum is zero: not a Bell inequality")
+    blocks = ((sign_rows[:, None, :] * b[perm_maps][None]).reshape(-1, len(b))
+              for perm_maps in index_maps)
+    return g, blocks
 
 
-Transform = Callable[[CoefficientVector], CoefficientVector]
-
-
-def default_generators(n_sites: int) -> list[Transform]:
-    """Adjacent site swaps, observable relabelings, value flips, negation."""
-    gens: list[Transform] = [negate]
-    for i in range(n_sites):
-        gens.append(lambda v, i=i: observable_flip(v, i))
-        for obs in (0, 1):
-            gens.append(lambda v, i=i, obs=obs: value_flip(v, i, obs))
-    for i in range(n_sites - 1):
-        perm = list(range(n_sites))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(lambda v, perm=tuple(perm): site_permutation(v, perm))
-    return gens
-
-
-def symmetry_orbit(
-    v: CoefficientVector | Sequence[int],
-    generators: Iterable[Transform] | None = None,
-) -> frozenset[CoefficientVector]:
-    """Closure of v under the generators (global negation always included)."""
+def symmetry_orbit(v: CoefficientVector | Sequence[int]) -> frozenset[CoefficientVector]:
+    """Every relabeling of v: site permutations, observable swaps, value flips, negation."""
     v = _as_vector(v)
-    gens = list(generators) if generators is not None else default_generators(v.n_sites)
-    if negate not in gens:
-        gens.append(negate)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            image = g(current)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return frozenset(seen)
+    g, blocks = _orbit_blocks(v)
+    rows = set()
+    for block in blocks:
+        rows.update(map(tuple, block.tolist()))
+    return frozenset(CoefficientVector(v.n_sites, tuple(g * c for c in row))
+                     for row in rows)
 
 
-def canonical(
-    v: CoefficientVector | Sequence[int],
-    generators: Iterable[Transform] | None = None,
-) -> StandardForm:
-    """Lexicographically smallest standard form over the symmetry orbit."""
-    orbit = symmetry_orbit(v, generators)
-    return min((standard_form(m) for m in orbit), key=lambda s: s.coeffs)
+def canonical(v: CoefficientVector | Sequence[int]) -> StandardForm:
+    """Lexicographically smallest standard form over the symmetry orbit.
+
+    The orbit is closed under negation and every image has the gcd of
+    v, so the standard forms are the images of v / gcd with positive sum.
+    """
+    v = _as_vector(v)
+    _, blocks = _orbit_blocks(v)
+    best = None
+    for block in blocks:
+        rows = block[block.sum(axis=1) > 0]
+        for j in range(rows.shape[1]):
+            rows = rows[rows[:, j] == rows[:, j].min()]
+            if len(rows) == 1:
+                break
+        candidate = tuple(rows[0].tolist())
+        if best is None or candidate < best:
+            best = candidate
+    return StandardForm(v.n_sites, best)

@@ -36,6 +36,10 @@ from .limits import LHV_MAX_SITES
 
 TILT_ANGLES = (math.pi / 3, math.pi, 5 * math.pi / 3)
 
+# below this many sites a search takes under 0.1 s (48 ms at 8 sites on one
+# core), so starting a thread pool costs more than splitting the search saves
+POOL_MIN_SITES = 9
+
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
@@ -114,7 +118,7 @@ def max_lhv(v: CoefficientVector | Sequence[int], *,
         )
     coeffs = np.array(v.coeffs, dtype=np.int64)
     m0_stop = 1 << (v.n_sites - 1)
-    if jobs <= 1 or m0_stop < 2 * jobs:
+    if jobs <= 1 or v.n_sites < POOL_MIN_SITES or m0_stop < 2 * jobs:
         return int(kernels.lhv_max_range(coeffs, v.n_sites, 0, m0_stop))
     step = -(-m0_stop // jobs)
     ranges = [(start, min(start + step, m0_stop))

@@ -1,16 +1,8 @@
-"""Default size caps and their environment override.
+"""Default size caps.
 
 The caps keep accidental huge requests from exhausting memory or CPU.
-Setting BELLKIT_MAX_N to an integer raises (or lowers) the per-module
-site-count limits for enumeration-style operations.
 """
 from __future__ import annotations
-
-import os
-
-from .errors import BellkitError
-
-MAX_N_ENV = "BELLKIT_MAX_N"
 
 # dense 2^13 x 2^13 int8 matrix is ~64 MiB
 DENSE_MAX_SITES = 13
@@ -20,14 +12,5 @@ MATERIALIZE_MAX_SITES = 4
 STREAM_MAX_SITES = 5
 # brute-force LHV search: 4^14 / 2 strategies
 LHV_MAX_SITES = 14
-
-
-def site_cap(default: int) -> int:
-    """Return the site-count cap, honoring the BELLKIT_MAX_N override."""
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise BellkitError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
+# relabeling orbits: 5! * 2^5 * 2^6 = 245,760 group elements
+ORBIT_MAX_SITES = 5

@@ -7,10 +7,21 @@ tests comparing against them are genuine cross-checks, not tautologies.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from hypothesis import settings
+
+from bellkit.errors import BellkitError
+from bellkit.inequality import (
+    CoefficientVector,
+    StandardForm,
+    _as_vector,
+    setting_digits,
+    standard_form,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -85,3 +96,102 @@ def poly_from_factors(exponents: list[int], signs: list[int]) -> list[int]:
         factor[exp] = sign
         poly = poly_mul(poly, factor)
     return poly
+
+
+# -- relabeling oracle: per-element transforms closed by a BFS ----------------
+#
+# The slow reference for ``inequality.symmetry_orbit`` and ``canonical``,
+# which act with the whole relabeling group as one table instead.
+
+
+def negate(v: CoefficientVector) -> CoefficientVector:
+    return CoefficientVector(v.n_sites, tuple(-c for c in v.coeffs))
+
+
+def site_permutation(v: CoefficientVector, perm: Sequence[int]) -> CoefficientVector:
+    """Permute sites: new digit i is the old digit perm[i] (0-based)."""
+    n = v.n_sites
+    if sorted(perm) != list(range(n)):
+        raise BellkitError(f"not a permutation of {n} sites: {perm!r}")
+    out = [0] * len(v.coeffs)
+    for k, c in enumerate(v.coeffs):
+        digits = setting_digits(k, n)
+        k2 = 0
+        for i in range(n):
+            k2 = (k2 << 1) | digits[perm[i]]
+        out[k2] = c
+    return CoefficientVector(n, tuple(out))
+
+
+def observable_flip(v: CoefficientVector, site: int) -> CoefficientVector:
+    """Swap the two observables at the given site (0-based)."""
+    n = v.n_sites
+    if not 0 <= site < n:
+        raise BellkitError(f"site {site} out of range")
+    bit = 1 << (n - 1 - site)
+    out = [0] * len(v.coeffs)
+    for k, c in enumerate(v.coeffs):
+        out[k ^ bit] = c
+    return CoefficientVector(n, tuple(out))
+
+
+def value_flip(v: CoefficientVector, site: int, observable: int) -> CoefficientVector:
+    """Negate the outcome signs of one observable at one site."""
+    n = v.n_sites
+    if not 0 <= site < n:
+        raise BellkitError(f"site {site} out of range")
+    if observable not in (0, 1):
+        raise BellkitError("observable must be 0 or 1")
+    shift = n - 1 - site
+    coeffs = tuple(
+        -c if ((k >> shift) & 1) == observable else c
+        for k, c in enumerate(v.coeffs)
+    )
+    return CoefficientVector(n, coeffs)
+
+
+Transform = Callable[[CoefficientVector], CoefficientVector]
+
+
+def default_generators(n_sites: int) -> list[Transform]:
+    """Adjacent site swaps, observable relabelings, value flips, negation."""
+    gens: list[Transform] = [negate]
+    for i in range(n_sites):
+        gens.append(lambda v, i=i: observable_flip(v, i))
+        for obs in (0, 1):
+            gens.append(lambda v, i=i, obs=obs: value_flip(v, i, obs))
+    for i in range(n_sites - 1):
+        perm = list(range(n_sites))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append(lambda v, perm=tuple(perm): site_permutation(v, perm))
+    return gens
+
+
+def bfs_orbit(
+    v: CoefficientVector | Sequence[int],
+    generators: Iterable[Transform] | None = None,
+) -> frozenset[CoefficientVector]:
+    """Closure of v under the generators (global negation always included)."""
+    v = _as_vector(v)
+    gens = list(generators) if generators is not None else default_generators(v.n_sites)
+    if negate not in gens:
+        gens.append(negate)
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        current = frontier.pop()
+        for g in gens:
+            image = g(current)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return frozenset(seen)
+
+
+def bfs_canonical(
+    v: CoefficientVector | Sequence[int],
+    generators: Iterable[Transform] | None = None,
+) -> StandardForm:
+    """Lexicographically smallest standard form over the symmetry orbit."""
+    orbit = bfs_orbit(v, generators)
+    return min((standard_form(m) for m in orbit), key=lambda s: s.coeffs)

@@ -149,6 +149,29 @@ class TestPolyCommand:
     def test_eval_bad_rational(self):
         run_cli("poly", "eval", "--coeffs", "1,1", "--z", "pi", expect_code=2)
 
+    def test_zero_sum_output_feeds_back(self):
+        out = run_cli("poly", "s", "--n", "2", "--k", "1")
+        payload = json.loads(out.stdout)["payload"]
+        assert payload["poly"] == "1-z^2"
+        coeff_arg = ",".join(str(c) for c in payload["coeffs"])
+        assert coeff_arg == "1,0,-1,0"
+        out = run_cli("poly", "eval", "--coeffs", coeff_arg, "--z", "2")
+        assert json.loads(out.stdout)["payload"]["value"] == "-3"
+        out = run_cli("poly", "bowtie", "--a", coeff_arg, "--b", coeff_arg,
+                      "--format", "text")
+        assert out.stdout.strip() == "2-2z^2"
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ("1,2,3", "power of two"),
+        ("1", "power of two"),
+        ("1,x", "integers"),
+    ])
+    def test_bad_coefficients_rejected(self, coeffs, message):
+        for args in (("eval", "--coeffs", coeffs, "--z", "1"),
+                     ("bowtie", "--a", coeffs, "--b", "1,1")):
+            out = run_cli("poly", *args, expect_code=2)
+            assert message in json.loads(out.stderr)["error"]["message"]
+
 
 class TestVerifyCommand:
     def test_chsh_golden_bytes(self):
@@ -167,6 +190,10 @@ class TestVerifyCommand:
 
     def test_bad_coefficients(self):
         run_cli("verify", "--coeffs", "1,x", expect_code=2)
+
+    def test_zero_sum_rejected(self):
+        out = run_cli("verify", "--coeffs", "1,0,-1,0", expect_code=2)
+        assert "coefficient sum is zero" in json.loads(out.stderr)["error"]["message"]
 
     @pytest.mark.parametrize("coeffs", [
         "4611686018427387904,4611686018427387904",

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +9,17 @@ from hypothesis import strategies as st
 from bellkit import inequality as ineq
 from bellkit.errors import BellkitError, CapExceededError
 from conftest import (
+    bfs_canonical,
+    bfs_orbit,
     coefficients_by_expansion,
+    default_generators,
     formula_matrix,
+    negate,
+    observable_flip,
     read_golden,
     signs_of_code,
+    site_permutation,
+    value_flip,
 )
 
 CHSH = ineq.CoefficientVector(2, (1, 1, 1, -1))
@@ -212,13 +220,6 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             next(ineq.enumerate_inequalities(6, stream=True))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BELLKIT_MAX_N", "3")
-        with pytest.raises(CapExceededError):
-            next(ineq.enumerate_inequalities(4))
-        monkeypatch.setenv("BELLKIT_MAX_N", "not-a-number")
-        with pytest.raises(BellkitError):
-            next(ineq.enumerate_inequalities(4))
 
 
 class TestTraditionalNotation:
@@ -251,25 +252,25 @@ class TestReverseObservables:
 
 class TestSymmetries:
     def test_site_swap_fixed_point(self):
-        swapped = ineq.site_permutation(CHSH, (1, 0))
+        swapped = site_permutation(CHSH, (1, 0))
         assert swapped == CHSH
 
     def test_site_permutation_moves_digits(self):
         v = ineq.CoefficientVector(2, (10, 20, 30, 41))
-        swapped = ineq.site_permutation(v, (1, 0))
+        swapped = site_permutation(v, (1, 0))
         assert swapped.coeffs == (10, 30, 20, 41)
 
     def test_observable_flip(self):
         v = ineq.CoefficientVector(1, (3, 1))
-        assert ineq.observable_flip(v, 0).coeffs == (1, 3)
+        assert observable_flip(v, 0).coeffs == (1, 3)
 
     def test_value_flip(self):
-        flipped = ineq.value_flip(CHSH, 0, 0)
+        flipped = value_flip(CHSH, 0, 0)
         assert flipped.coeffs == (-1, -1, 1, -1)
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(BellkitError):
-            ineq.site_permutation(CHSH, (0, 0))
+            site_permutation(CHSH, (0, 0))
 
     def test_chsh_orbit_is_all_full_term_vectors(self):
         orbit = {v.coeffs for v in ineq.symmetry_orbit(CHSH)}
@@ -282,8 +283,10 @@ class TestSymmetries:
         assert len(orbit) == 8
 
     def test_negation_always_in_orbit(self):
-        orbit = ineq.symmetry_orbit(MABK, generators=[])
-        assert orbit == {MABK, ineq.negate(MABK)}
+        members = [v for _, v in ineq.enumerate_inequalities(3)]
+        for v in [CHSH, MABK, THREE_SITE_MIXED] + members[::17]:
+            orbit = ineq.symmetry_orbit(v)
+            assert v in orbit and negate(v) in orbit
 
     def test_orbit_stays_inside_family(self):
         # raw-scale member: twice the lifted vector (raw sums are +-8 here)
@@ -298,3 +301,104 @@ class TestSymmetries:
         assert rep.coeffs == (-1, 1, 1, 1)
         for member in ineq.symmetry_orbit(CHSH):
             assert ineq.canonical(member) == rep
+
+
+def assert_matches_oracle(vectors):
+    """Table orbit and canonical form equal the generator BFS for each vector.
+
+    An orbit is the orbit of each of its elements, so one BFS serves every
+    later vector that lies inside it.
+    """
+    seen = []
+    for v in vectors:
+        orbit, rep = next(((o, r) for o, r in seen if v in o), (None, None))
+        if orbit is None:
+            orbit = bfs_orbit(v)
+            rep = min((ineq.standard_form(m) for m in orbit),
+                      key=lambda s: s.coeffs)
+            seen.append((orbit, rep))
+        assert ineq.symmetry_orbit(v) == orbit
+        assert ineq.canonical(v) == rep
+
+
+class TestRelabelingOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_member(self, n):
+        assert_matches_oracle(
+            [v for _, v in ineq.enumerate_inequalities(n)])
+
+    def test_seeded_four_site_members(self):
+        rng = np.random.default_rng(4)
+        codes = rng.integers(0, 1 << 16, 200)
+        assert_matches_oracle(
+            [ineq.from_sign_vector(signs_of_code(int(c), 4)) for c in codes])
+
+    def test_canonical_is_bfs_canonical(self):
+        for v in (CHSH, MABK, THREE_SITE_MIXED):
+            assert ineq.canonical(v) == bfs_canonical(v)
+
+    def test_non_member_vectors(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for n in (1, 2, 3):
+            for _ in range(40):
+                values = [int(x) for x in rng.integers(-4, 5, 1 << n)]
+                scale = int(rng.choice([1, 6, 1 << 70]))
+                if sum(values) == 0:
+                    continue
+                v = ineq.CoefficientVector(n, tuple(scale * x for x in values))
+                try:
+                    expected = bfs_orbit(v)
+                except BellkitError:
+                    with pytest.raises(BellkitError, match="sum is zero"):
+                        ineq.symmetry_orbit(v)
+                    with pytest.raises(BellkitError, match="sum is zero"):
+                        ineq.canonical(v)
+                    continue
+                assert ineq.symmetry_orbit(v) == expected
+                assert ineq.canonical(v) == bfs_canonical(v)
+                checked += 1
+        assert checked >= 20
+
+    def test_huge_multiple_keeps_exact_integers(self):
+        big = ineq.CoefficientVector(2, tuple((1 << 70) * c for c in CHSH.coeffs))
+        assert ineq.symmetry_orbit(big) == bfs_orbit(big)
+        assert ineq.canonical(big) == ineq.canonical(CHSH)
+
+    def test_zero_sum_image_rejected(self):
+        # (1, 1, 0, 0) sums to 2, but flipping site 2's outcomes gives (1, -1, 0, 0)
+        with pytest.raises(BellkitError):
+            bfs_orbit((1, 1, 0, 0))
+        with pytest.raises(BellkitError, match="coefficient sum is zero"):
+            ineq.symmetry_orbit((1, 1, 0, 0))
+        with pytest.raises(BellkitError, match="coefficient sum is zero"):
+            ineq.canonical((1, 1, 0, 0))
+
+    def test_int64_guard(self):
+        top = 1 << 62
+        below = ineq.CoefficientVector(1, (top, top - 1))  # sum |b| = 2^63 - 1
+        assert ineq.symmetry_orbit(below) == bfs_orbit(below)
+        assert ineq.canonical(below) == bfs_canonical(below)
+        for v in [(top, top + 1), (3 * top, 1)]:
+            with pytest.raises(BellkitError, match="below 2\\^63"):
+                ineq.symmetry_orbit(v)
+            with pytest.raises(BellkitError, match="below 2\\^63"):
+                ineq.canonical(v)
+
+    def test_six_site_cap(self):
+        v = ineq.from_sign_vector(signs_of_code(12345, 6))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            ineq.symmetry_orbit(v)
+        with pytest.raises(CapExceededError):
+            ineq.canonical(v)
+        assert time.perf_counter() - start < 1
+
+    def test_five_site_canonical(self):
+        v = ineq.from_sign_vector(signs_of_code(0x9E3779B9, 5))
+        start = time.perf_counter()
+        rep = ineq.canonical(v)
+        assert time.perf_counter() - start < 5
+        assert rep.coeffs <= ineq.standard_form(v).coeffs
+        for g in default_generators(5):
+            assert ineq.canonical(g(v)) == rep

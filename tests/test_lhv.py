@@ -95,6 +95,28 @@ class TestMaxLhv:
         v = ineq.CoefficientVector.from_ints([3, 1, 1, -1, -1, 1, 1, -1])
         assert lhv.max_lhv(v, jobs=4) == 4
 
+    def test_small_search_runs_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started for a small search")
+
+        monkeypatch.setattr(lhv, "ThreadPoolExecutor", no_pool)
+        v = ineq.from_sign_vector(signs_of_code(0xBEEF, 4))
+        assert lhv.max_lhv(v, jobs=2) == brute_max(v)
+
+    def test_nine_site_search_uses_pool(self, monkeypatch):
+        started = []
+        real_pool = lhv.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            started.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "ThreadPoolExecutor", counting_pool)
+        code = int.from_bytes(np.random.default_rng(12).bytes(64), "little")
+        v = ineq.from_sign_vector(signs_of_code(code, 9))
+        assert lhv.max_lhv(v, jobs=2) == lhv.max_lhv(v, jobs=1)
+        assert len(started) == 1
+
     def test_never_below_coefficient_sum(self):
         # the all-plus strategy already attains |sum b_k|
         rng = np.random.default_rng(5)
@@ -181,8 +203,8 @@ class TestSymmetryInvariance:
             code = int(rng.integers(0, 256))
             v = ineq.from_sign_vector(signs_of_code(code, 3))
             reference = lhv.max_lhv(v)
-            for g in ineq.default_generators(3):
-                assert lhv.max_lhv(g(v)) == reference
+            for member in ineq.symmetry_orbit(v):
+                assert lhv.max_lhv(member) == reference
 
 
 class TestSinglet:
