@@ -136,10 +136,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    stream = inequality.enumerate_inequalities(
-        args.n, stream=args.stream, jobs=args.jobs
-    )
-    for code, v in stream:
+    for code, v in inequality.enumerate_inequalities(args.n, stream=args.stream):
         out = inequality.standard_form(v) if args.standard_form else v
         if args.format == "shorthand":
             print("(" + ", ".join(str(c) for c in out.coeffs) + ")")
@@ -199,7 +196,7 @@ def _cmd_poly(args) -> int:
 def _cmd_verify(args) -> int:
     v = _parse_coeffs(args.coeffs)
     claimed = args.bound if args.bound is not None else inequality.bound(v)
-    maximum = lhv.max_lhv(v, jobs=args.jobs)
+    maximum = lhv.max_lhv(v)
     payload = {
         "n": v.n_sites,
         "coeffs": list(v.coeffs),
@@ -306,7 +303,8 @@ def _cmd_identity(args) -> int:
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_jobs, default=_default_jobs(),
-                   help="worker threads, at least 1 (default and upper "
+                   help="worker threads for classify; enum and verify accept "
+                        "and ignore it. At least 1 (default and upper "
                         f"limit: the CPU count, {_default_jobs()})")
 
 

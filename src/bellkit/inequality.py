@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,8 +194,8 @@ def enumerate_inequalities(
     All 2^(2^N) inequalities are produced. Materializing the stream is
     reasonable up to N = 4 (65 536 items); N = 5 yields 2^32 items and
     must be requested explicitly with ``stream=True``. Transforms are
-    computed in code-range batches; with jobs > 1 upcoming batches are
-    prepared on worker threads while the current one is consumed.
+    computed in code-range batches of ``batch_size``; ``jobs`` is accepted
+    and has no effect.
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
@@ -210,34 +209,13 @@ def enumerate_inequalities(
         )
 
     total = 1 << (1 << n_sites)
-    starts = range(0, total, batch_size)
-
-    def compute(start: int) -> np.ndarray:
-        stop = min(start + batch_size, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        return kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
-
-    def emit(start: int, block: np.ndarray) -> Iterator[tuple[int, CoefficientVector]]:
+    for start in range(0, total, batch_size):
+        codes = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+        block = kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
         for offset, row in enumerate(block):
             yield start + offset, CoefficientVector(
                 n_sites, tuple(int(x) for x in row)
             )
-
-    if jobs <= 1:
-        for start in starts:
-            yield from emit(start, compute(start))
-        return
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = []
-        it = iter(starts)
-        for start in it:
-            pending.append((start, pool.submit(compute, start)))
-            if len(pending) >= jobs + 1:
-                s, fut = pending.pop(0)
-                yield from emit(s, fut.result())
-        for s, fut in pending:
-            yield from emit(s, fut.result())
 
 
 def to_traditional(v: CoefficientVector | Sequence[int]) -> str:

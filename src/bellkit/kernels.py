@@ -1,11 +1,14 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Three inner loops dominate the package's runtime:
+Two inner loops dominate the package's runtime:
 
 * the length-2^N butterfly transform applied to batches of sign vectors
   (enumeration, completeness cross-checks),
-* streaming classification statistics over millions of sign vectors,
-* the brute-force search over all deterministic measurement strategies.
+* streaming classification statistics over millions of sign vectors.
+
+``lhv_max_range``, the scan over all deterministic strategies, is no
+longer on a production path: ``lhv.max_lhv`` contracts site by site, and
+the tests keep the scan as its O(8^N) oracle.
 
 The census never runs the butterfly. With r_k the bitmask of the -1
 entries of Sylvester row k, entry k of the transform of code c is

@@ -1,17 +1,19 @@
-"""Brute-force verification against local deterministic models.
+"""Local bounds from deterministic models.
 
 A deterministic strategy fixes every observable outcome in advance: one
 value in {-1, +1} per (site, observable) pair, 2N values in total. These
 strategies are the vertices of the local correlation polytope, and since
 the maximum of a linear functional over a convex set is attained at a
-vertex, randomized local models never exceed deterministic ones. The
-oracle therefore maximizes |sum_k b_k prod_i A_i(k_i)| over all 4^N
-strategies (halved by fixing the first site's observable-0 value to +1
-and taking absolute values).
+vertex, randomized local models never exceed deterministic ones.
 
-This search is deliberately independent of the butterfly-transform code
-that generates inequalities: it shares no code path with it, so the two
-sides genuinely cross-check each other.
+Of the 4^N strategies only 2^N sign patterns matter for full
+correlations. With s_i = [A_i(0) != A_i(1)], the product
+prod_i A_i(k_i) equals (prod_i A_i(0)) * (-1)^(s.k), so every strategy
+value is +-(H_N b)[s]: the local full-correlation vectors are the rows
+of +-H_N (Werner & Wolf, PRA 64, 032112 (2001)). ``max_lhv`` contracts
+one site at a time, keeping the outcome pairs (1, 1) and (1, -1); the
+other two only flip the sign. It shares no code with the butterfly
+transform that generates inequalities, so the two cross-check each other.
 
 The singlet fixtures model two spin measurements at angles theta_i and
 eta_j on a rotationally invariant entangled pair, whose product
@@ -23,22 +25,16 @@ cos(pi/3 + phi) + cos(pi + phi) + cos(5*pi/3 + phi) == 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector, setting_digits
 from .limits import LHV_MAX_SITES
 
 TILT_ANGLES = (math.pi / 3, math.pi, 5 * math.pi / 3)
-
-# below this many sites a search takes under 0.1 s (48 ms at 8 sites on one
-# core), so starting a thread pool costs more than splitting the search saves
-POOL_MIN_SITES = 9
 
 
 @dataclass(frozen=True)
@@ -104,31 +100,28 @@ def strategy_value(v: CoefficientVector | Sequence[int],
 
 def max_lhv(v: CoefficientVector | Sequence[int], *,
             max_sites: int = LHV_MAX_SITES, jobs: int = 1) -> int:
-    """Largest |strategy value| over every deterministic strategy."""
+    """Largest |strategy value| over every deterministic strategy.
+
+    Costs N * 2^N additions; ``jobs`` is accepted and has no effect.
+    """
     v = _as_vector(v)
     if v.n_sites > max_sites:
         raise CapExceededError(
             f"strategy search capped at {max_sites} sites, got {v.n_sites}"
         )
     # every strategy value and partial sum is bounded by sum |b_k|, so this
-    # keeps the int64 search exact
+    # keeps the int64 contraction exact
     if sum(abs(c) for c in v.coeffs) >= 1 << 63:
         raise BellkitError(
             "strategy search needs the sum of |coefficients| below 2^63"
         )
-    coeffs = np.array(v.coeffs, dtype=np.int64)
-    m0_stop = 1 << (v.n_sites - 1)
-    if jobs <= 1 or v.n_sites < POOL_MIN_SITES or m0_stop < 2 * jobs:
-        return int(kernels.lhv_max_range(coeffs, v.n_sites, 0, m0_stop))
-    step = -(-m0_stop // jobs)
-    ranges = [(start, min(start + step, m0_stop))
-              for start in range(0, m0_stop, step)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(
-            lambda r: int(kernels.lhv_max_range(coeffs, v.n_sites, r[0], r[1])),
-            ranges,
-        )
-        return max(results)
+    # written out, not via kernels.wht_rows: it must stay independent of the generator
+    t = np.array(v.coeffs, dtype=np.int64)[None]
+    for _ in range(v.n_sites):
+        half = t.shape[1] // 2
+        lo, hi = t[:, :half], t[:, half:]
+        t = np.concatenate((lo + hi, lo - hi))
+    return int(np.abs(t).max())
 
 
 def is_tight(v: CoefficientVector | Sequence[int], claimed_bound: int, *,

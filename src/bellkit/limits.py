@@ -10,7 +10,7 @@ DENSE_MAX_SITES = 13
 MATERIALIZE_MAX_SITES = 4
 # streaming enumeration / classification: 2^32 sign vectors
 STREAM_MAX_SITES = 5
-# brute-force LHV search: 4^14 / 2 strategies
+# LHV bound: 2^14 coefficients, contracted in 14 * 2^14 additions
 LHV_MAX_SITES = 14
 # relabeling orbits: 5! * 2^5 * 2^6 = 245,760 group elements
 ORBIT_MAX_SITES = 5

@@ -1,10 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bellkit import inequality as ineq
-from bellkit import lhv
+from bellkit import kernels, lhv
 from bellkit.errors import BellkitError, CapExceededError
 from conftest import signs_of_code
 
@@ -19,6 +22,23 @@ def all_strategies(n):
 
 def brute_max(v):
     return max(abs(lhv.strategy_value(v, s)) for s in all_strategies(v.n_sites))
+
+
+def scan_max(v):
+    """The vectorized scan over all 2^(2N-1) strategies with A_1(0) = +1."""
+    coeffs = np.array(v.coeffs, dtype=np.int64)
+    return int(kernels.lhv_max_range(coeffs, v.n_sites, 0, 1 << (v.n_sites - 1)))
+
+
+def near_int64_limit(rng, n):
+    """Random coefficients whose |sum| total is exactly 2^63 - 1."""
+    length = 1 << n
+    limit = (1 << 63) - 1
+    coeffs = [int(x) for x in rng.integers(-(limit // length), limit // length,
+                                           size=length, endpoint=True)]
+    coeffs[0] = limit - sum(abs(c) for c in coeffs[1:])
+    # an odd |sum| total makes the sum odd, so never zero
+    return coeffs
 
 
 class TestStrategyType:
@@ -95,27 +115,41 @@ class TestMaxLhv:
         v = ineq.CoefficientVector.from_ints([3, 1, 1, -1, -1, 1, 1, -1])
         assert lhv.max_lhv(v, jobs=4) == 4
 
-    def test_small_search_runs_inline(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started for a small search")
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_scan_oracle_on_random_integers(self, n):
+        rng = np.random.default_rng([n, 63])
+        for scale in (1, 6, 1 << 20, 1 << 50):
+            for _ in range(6):
+                coeffs = rng.integers(-scale, scale, size=1 << n,
+                                      endpoint=True).tolist()
+                if sum(coeffs) == 0:
+                    coeffs[0] += 1
+                v = ineq.CoefficientVector.from_ints(coeffs)
+                assert lhv.max_lhv(v) == scan_max(v)
+        for _ in range(3):
+            v = ineq.CoefficientVector.from_ints(near_int64_limit(rng, n))
+            assert sum(abs(c) for c in v.coeffs) == (1 << 63) - 1
+            assert lhv.max_lhv(v) == scan_max(v)
 
-        monkeypatch.setattr(lhv, "ThreadPoolExecutor", no_pool)
-        v = ineq.from_sign_vector(signs_of_code(0xBEEF, 4))
-        assert lhv.max_lhv(v, jobs=2) == brute_max(v)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_scan_oracle_on_every_member(self, n):
+        for _, v in ineq.enumerate_inequalities(n):
+            assert lhv.max_lhv(v) == scan_max(v) == 1 << n
 
-    def test_nine_site_search_uses_pool(self, monkeypatch):
-        started = []
-        real_pool = lhv.ThreadPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            started.append(kwargs)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(lhv, "ThreadPoolExecutor", counting_pool)
-        code = int.from_bytes(np.random.default_rng(12).bytes(64), "little")
-        v = ineq.from_sign_vector(signs_of_code(code, 9))
-        assert lhv.max_lhv(v, jobs=2) == lhv.max_lhv(v, jobs=1)
-        assert len(started) == 1
+    def test_fourteen_site_member_fast_and_small(self):
+        # the scan would take hours here: 2^27 strategies x 2^14 terms
+        code = int.from_bytes(np.random.default_rng(14).bytes(1 << 11), "little")
+        v = ineq.from_sign_vector(signs_of_code(code, 14))
+        start = time.perf_counter()
+        assert lhv.max_lhv(v) == 1 << 14
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            lhv.max_lhv(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
     def test_never_below_coefficient_sum(self):
         # the all-plus strategy already attains |sum b_k|
@@ -129,7 +163,7 @@ class TestMaxLhv:
 
     def test_int64_boundary_is_exact(self):
         v = ineq.CoefficientVector.from_ints([1 << 62, (1 << 62) - 1])
-        assert lhv.max_lhv(v) == brute_max(v) == (1 << 63) - 1
+        assert lhv.max_lhv(v) == brute_max(v) == scan_max(v) == (1 << 63) - 1
 
     @pytest.mark.parametrize("coeffs", [
         [1 << 62, 1 << 62],
