@@ -27,9 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import BellkitError, CapExceededError
+from .errors import BellkitError
 from .inequality import CoefficientVector, _as_vector
-from .limits import MATERIALIZE_MAX_SITES, STREAM_MAX_SITES
+from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
+                     STREAM_MAX_SITES, check_sites)
 from .polynomial import BellPolynomial, UVIndex, bell_poly
 
 DEFAULT_SAMPLE_SIZE = 10_000_000
@@ -110,10 +111,7 @@ def classify(
     if seed < 0:
         raise BellkitError(f"seed must be nonnegative, got {seed}")
     length = 1 << n_sites
-    if n_sites > STREAM_MAX_SITES:
-        raise CapExceededError(
-            f"classification capped at {STREAM_MAX_SITES} sites, got {n_sites}"
-        )
+    check_sites("classification", n_sites, STREAM_MAX_SITES)
     if exhaustive is None:
         exhaustive = n_sites <= MATERIALIZE_MAX_SITES and sample_size is None
     if exhaustive and sample_size is not None:
@@ -220,6 +218,7 @@ def binomial_identity_sides(n_sites: int) -> tuple[int, int]:
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
+    check_sites("binomial identity", n_sites, IDENTITY_MAX_SITES)
     half = 1 << (n_sites - 1)
     lhs = sum(
         math.comb(half, 2 * k) * math.comb(2 * k, k) * (1 << (half - 2 * k))
@@ -240,6 +239,7 @@ def max_b0_pairs(n_sites: int) -> list[tuple[int, int]]:
     v has a single set bit; u is zero or a copy of that bit (bit 0 of u
     must stay zero).
     """
+    check_sites("family construction", n_sites, RECORD_MAX_SITES)
     pairs = []
     for bit in range(1 << (n_sites - 1)):
         v = 1 << bit
@@ -276,5 +276,6 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     if len(members) != (1 << n_sites) - 1:
         raise BellkitError("unexpected family size")
     if k == 1:
-        members = [BellPolynomial(p.n_sites, p.coeffs[::-1]) for p in members]
+        members = [BellPolynomial._trusted(p.n_sites, p.coeffs[::-1])
+                   for p in members]
     return members

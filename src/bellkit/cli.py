@@ -180,12 +180,15 @@ def _cmd_poly(args) -> int:
         z = Fraction(args.z)
     except (ValueError, ZeroDivisionError):
         raise BellkitError(f"not a rational number: {args.z!r}") from None
-    value = polynomial.evaluate(poly, z)
-    payload = {
-        "coeffs": list(poly.coeffs),
-        "z": str(z),
-        "value": str(Fraction(value)),
-    }
+    try:
+        value = str(Fraction(polynomial.evaluate(poly, z)))
+    except ValueError:
+        # the interpreter's guard against quadratic int-to-text conversion
+        raise BellkitError(
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    payload = {"coeffs": list(poly.coeffs), "z": str(z), "value": value}
     if args.format == "text":
         print(payload["value"])
     else:

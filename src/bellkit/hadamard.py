@@ -17,9 +17,9 @@ with the site-1 digit as the most significant bit. The GF(2) product is
 digit-position symmetric, so entries do not depend on that choice, but
 every module that interprets indices digit-wise shares it.
 
-``build`` materializes the dense matrix (int8, capped by default at
-N = 13); ``entry`` computes single entries on demand and ``apply`` runs
-the matrix-free butterfly transform, so neither needs the dense array.
+``build`` materializes the dense matrix (int8, capped at N = 13);
+``entry`` computes single entries on demand and ``apply`` runs the
+matrix-free butterfly transform, so neither needs the dense array.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BellkitError, CapExceededError
-from .limits import DENSE_MAX_SITES
+from .limits import DENSE_MAX_SITES, check_sites
 
 
 def gf2_dot(j: int, k: int) -> int:
@@ -71,27 +71,23 @@ class HadamardMatrix:
         return entry(j, k)
 
 
-def build(n_sites: int, max_sites: int = DENSE_MAX_SITES) -> HadamardMatrix:
+def build(n_sites: int) -> HadamardMatrix:
     """Dense matrix of order 2^n_sites via the block-doubling recursion."""
     if n_sites < 0:
         raise BellkitError("site count must be nonnegative")
-    if n_sites > max_sites:
-        raise CapExceededError(
-            f"dense construction capped at {max_sites} sites, got {n_sites}"
-        )
+    check_sites("dense construction", n_sites, DENSE_MAX_SITES)
     h = np.array([[1]], dtype=np.int8)
     for _ in range(n_sites):
         h = np.block([[h, h], [h, -h]])
     return HadamardMatrix(1 << n_sites, h)
 
 
-def kronecker(a: HadamardMatrix, b: HadamardMatrix,
-              max_sites: int = DENSE_MAX_SITES) -> HadamardMatrix:
+def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     order = a.order * b.order
-    if order > (1 << max_sites):
+    if order > (1 << DENSE_MAX_SITES):
         raise CapExceededError(
-            f"product order {order} exceeds the dense cap 2^{max_sites}"
+            f"product order {order} exceeds the dense cap 2^{DENSE_MAX_SITES}"
         )
     return HadamardMatrix(order, np.kron(a.entries, b.entries).astype(np.int8))
 

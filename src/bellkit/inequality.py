@@ -11,6 +11,11 @@ at site i. The complete family for N sites is generated by applying the
 order-2^N Sylvester transform to every +-1 sign vector c; such raw
 vectors have even entries and coefficient sum +-2^N.
 
+``CoefficientVector`` is a ``polynomial.BellPolynomial`` whose value at
+z = 1, the coefficient sum, is nonzero; ``StandardForm`` further has
+coprime entries and a positive sum. Rows built here from valid input
+(enumeration, transforms, orbit images) skip the re-validation.
+
 Sign vectors are encoded as bitmasks: bit j set means c_j = -1. The
 enumeration order is the numeric order of these codes.
 
@@ -33,40 +38,30 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import hadamard, kernels
-from .errors import BellkitError, CapExceededError
-from .limits import MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, STREAM_MAX_SITES
+from . import hadamard, kernels, polynomial
+from .errors import BellkitError
+from .limits import (MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, RECORD_MAX_SITES,
+                     STREAM_MAX_SITES, check_sites)
+from .polynomial import BellPolynomial
 
 MINUS = "−"  # sign used by the traditional rendering
 LEQ = "≤"
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """One Bell inequality: 2^n_sites exact integer coefficients.
+class CoefficientVector(BellPolynomial):
+    """One Bell inequality: a Bell polynomial B with B(1) != 0.
 
     Vectors with coefficient sum zero are rejected outright; no member
     of the generated family has one, so accepting them would only mask
     caller bugs.
     """
 
-    n_sites: int
-    coeffs: tuple[int, ...]
-
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise BellkitError("site count must be at least 1")
-        if len(self.coeffs) != 1 << self.n_sites:
-            raise BellkitError(
-                f"expected {1 << self.n_sites} coefficients, got {len(self.coeffs)}"
-            )
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise BellkitError("coefficients must be integers")
+        super().__post_init__()
         if sum(self.coeffs) == 0:
             raise BellkitError("coefficient sum is zero: not a Bell inequality")
 
@@ -98,9 +93,11 @@ class StandardForm(CoefficientVector):
             raise BellkitError("standard form requires a positive coefficient sum")
 
 
-def _as_vector(v: CoefficientVector | Sequence[int]) -> CoefficientVector:
+def _as_vector(v: BellPolynomial | Sequence[int]) -> CoefficientVector:
     if isinstance(v, CoefficientVector):
         return v
+    if isinstance(v, BellPolynomial):
+        return CoefficientVector(v.n_sites, v.coeffs)
     return CoefficientVector.from_ints(v)
 
 
@@ -111,6 +108,7 @@ def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
 
 def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
+    check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= code < (1 << length):
         raise BellkitError(f"code {code} out of range for {n_sites} sites")
@@ -140,16 +138,12 @@ def from_sign_vector(c: Sequence[int]) -> CoefficientVector:
     if not np.all(np.abs(vec) == 1):
         raise BellkitError("sign vector entries must be +1 or -1")
     transformed = kernels.wht_vector(vec)
-    return CoefficientVector(n, tuple(int(x) for x in transformed))
+    return CoefficientVector._trusted(n, tuple(transformed.tolist()))
 
 
 def bound(v: CoefficientVector | Sequence[int]) -> int:
     """Right-hand side |sum_k b_k| of the inequality (scale-covariant)."""
-    v = _as_vector(v)
-    total = sum(v.coeffs)
-    if total == 0:
-        raise BellkitError("zero coefficient sum: not a Bell inequality")
-    return abs(total)
+    return abs(sum(_as_vector(v).coeffs))
 
 
 def standard_form(v: CoefficientVector | Sequence[int]) -> StandardForm:
@@ -159,27 +153,21 @@ def standard_form(v: CoefficientVector | Sequence[int]) -> StandardForm:
     coeffs = tuple(c // g for c in v.coeffs)
     if sum(coeffs) < 0:
         coeffs = tuple(-c for c in coeffs)
-    return StandardForm(v.n_sites, coeffs)
+    return StandardForm._trusted(v.n_sites, coeffs)
 
 
 def bowtie(a: CoefficientVector | Sequence[int],
            b: CoefficientVector | Sequence[int]) -> CoefficientVector:
     """Lift two N-site inequalities of equal bound to one (N+1)-site one.
 
-    First half: pairwise sums; second half: pairwise differences. The
-    callers must pre-scale the arguments to equal |coefficient sum|.
+    ``polynomial.bowtie`` on the two vectors: pairwise sums, then pairwise
+    differences. The callers must pre-scale the arguments to equal
+    |coefficient sum|. The lift sums to twice a's sum, so it is never
+    zero, but standard forms can lift to even entries: a is passed on as
+    a plain vector, so the lift is one too.
     """
     a, b = _as_vector(a), _as_vector(b)
-    if a.n_sites != b.n_sites:
-        raise BellkitError("operands must have the same site count")
-    if bound(a) != bound(b):
-        raise BellkitError(
-            f"coefficient sums differ in magnitude ({bound(a)} vs {bound(b)}); "
-            "pre-scale one operand"
-        )
-    sums = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-    diffs = tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-    return CoefficientVector(a.n_sites + 1, sums + diffs)
+    return polynomial.bowtie(CoefficientVector(a.n_sites, a.coeffs), b)
 
 
 def enumerate_inequalities(
@@ -199,10 +187,7 @@ def enumerate_inequalities(
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
-    if n_sites > STREAM_MAX_SITES:
-        raise CapExceededError(
-            f"enumeration capped at {STREAM_MAX_SITES} sites, got {n_sites}"
-        )
+    check_sites("enumeration", n_sites, STREAM_MAX_SITES)
     if n_sites > MATERIALIZE_MAX_SITES and not stream:
         raise BellkitError(
             f"{n_sites} sites means 2^{1 << n_sites} items; pass stream=True"
@@ -213,8 +198,8 @@ def enumerate_inequalities(
         codes = np.arange(start, min(start + batch_size, total), dtype=np.int64)
         block = kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
         for offset, row in enumerate(block):
-            yield start + offset, CoefficientVector(
-                n_sites, tuple(int(x) for x in row)
+            yield start + offset, CoefficientVector._trusted(
+                n_sites, tuple(row.tolist())
             )
 
 
@@ -238,7 +223,7 @@ def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
 def reverse_observables(v: CoefficientVector | Sequence[int]) -> CoefficientVector:
     """Swap the observable labels 1 and 2 everywhere: reverse the vector."""
     v = _as_vector(v)
-    return CoefficientVector(v.n_sites, tuple(reversed(v.coeffs)))
+    return CoefficientVector._trusted(v.n_sites, v.coeffs[::-1])
 
 
 # -- relabeling group ---------------------------------------------------------
@@ -273,10 +258,7 @@ def _orbit_blocks(v: CoefficientVector) -> tuple[int, Iterator[np.ndarray]]:
     Each block holds the 2^(n+1) * 2^n images under one site permutation
     combined with every translation and sign row (repeats included).
     """
-    if v.n_sites > ORBIT_MAX_SITES:
-        raise CapExceededError(
-            f"symmetry orbits capped at {ORBIT_MAX_SITES} sites, got {v.n_sites}"
-        )
+    check_sites("symmetry orbits", v.n_sites, ORBIT_MAX_SITES)
     g = math.gcd(*v.coeffs)
     reduced = [c // g for c in v.coeffs]
     # every image entry and row sum is bounded by sum |b_k|
@@ -301,7 +283,7 @@ def symmetry_orbit(v: CoefficientVector | Sequence[int]) -> frozenset[Coefficien
     rows = set()
     for block in blocks:
         rows.update(map(tuple, block.tolist()))
-    return frozenset(CoefficientVector(v.n_sites, tuple(g * c for c in row))
+    return frozenset(CoefficientVector._trusted(v.n_sites, tuple(g * c for c in row))
                      for row in rows)
 
 
@@ -323,4 +305,4 @@ def canonical(v: CoefficientVector | Sequence[int]) -> StandardForm:
         candidate = tuple(rows[0].tolist())
         if best is None or candidate < best:
             best = candidate
-    return StandardForm(v.n_sites, best)
+    return StandardForm._trusted(v.n_sites, best)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BellkitError, CapExceededError
+from .errors import BellkitError
 from .inequality import CoefficientVector, _as_vector, setting_digits
-from .limits import LHV_MAX_SITES
+from .limits import RECORD_MAX_SITES, check_sites
 
 TILT_ANGLES = (math.pi / 3, math.pi, 5 * math.pi / 3)
 
@@ -98,17 +98,13 @@ def strategy_value(v: CoefficientVector | Sequence[int],
     return total
 
 
-def max_lhv(v: CoefficientVector | Sequence[int], *,
-            max_sites: int = LHV_MAX_SITES, jobs: int = 1) -> int:
+def max_lhv(v: CoefficientVector | Sequence[int], *, jobs: int = 1) -> int:
     """Largest |strategy value| over every deterministic strategy.
 
     Costs N * 2^N additions; ``jobs`` is accepted and has no effect.
     """
     v = _as_vector(v)
-    if v.n_sites > max_sites:
-        raise CapExceededError(
-            f"strategy search capped at {max_sites} sites, got {v.n_sites}"
-        )
+    check_sites("strategy search", v.n_sites, RECORD_MAX_SITES)
     # every strategy value and partial sum is bounded by sum |b_k|, so this
     # keeps the int64 contraction exact
     if sum(abs(c) for c in v.coeffs) >= 1 << 63:
@@ -125,9 +121,9 @@ def max_lhv(v: CoefficientVector | Sequence[int], *,
 
 
 def is_tight(v: CoefficientVector | Sequence[int], claimed_bound: int, *,
-             max_sites: int = LHV_MAX_SITES, jobs: int = 1) -> bool:
+             jobs: int = 1) -> bool:
     """True when some deterministic strategy attains exactly the claim."""
-    return max_lhv(v, max_sites=max_sites, jobs=jobs) == claimed_bound
+    return max_lhv(v, jobs=jobs) == claimed_bound
 
 
 # -- singlet fixtures ---------------------------------------------------------

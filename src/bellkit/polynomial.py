@@ -23,6 +23,8 @@ k. Useful consequences, all exact:
     -B    has index (u with all bits flipped, v)
     B(-z) has index (u XOR v, v)
 
+``BellPolynomial`` is also the base of the coefficient-vector records in
+``inequality``: an inequality is a Bell polynomial with B(1) != 0.
 Everything here uses exact integer (or dyadic rational) arithmetic.
 """
 from __future__ import annotations
@@ -33,10 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BellkitError, CapExceededError
-from .inequality import CoefficientVector
-
-POLY_MAX_SITES = 14  # summand matrix for n sites is 2^(n-1) x 2^(n-1)
+from .errors import BellkitError
+from .limits import RECORD_MAX_SITES, check_sites
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,14 @@ class BellPolynomial:
             raise BellkitError(f"{len(coeffs)} coefficients exceed degree < {length}")
         coeffs += [0] * (length - len(coeffs))
         return cls(n_sites, tuple(coeffs))
+
+    @classmethod
+    def _trusted(cls, n_sites: int, coeffs: tuple[int, ...]) -> "BellPolynomial":
+        """Build without any check: only for rows valid by construction."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "n_sites", n_sites)
+        object.__setattr__(record, "coeffs", coeffs)
+        return record
 
     def __str__(self) -> str:
         return render(self.coeffs)
@@ -102,6 +110,7 @@ class UVIndex:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise BellkitError("site count must be at least 1")
+        check_sites("family construction", self.n_sites, RECORD_MAX_SITES)
         limit = 1 << (1 << (self.n_sites - 1))
         if not (0 <= self.u < limit and 0 <= self.v < limit):
             raise BellkitError(
@@ -145,6 +154,7 @@ def summand_poly(n_sites: int, k: int) -> BellPolynomial:
     """The k-th summand polynomial: even, +-1 coefficients, degree 2^N - 2."""
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
+    check_sites("summand construction", n_sites, RECORD_MAX_SITES)
     if not 0 <= k < (1 << (n_sites - 1)):
         raise BellkitError(
             f"summand index {k} out of range for {n_sites} sites"
@@ -163,6 +173,7 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
     substitution z -> z^2 turns column k at n-1 sites into summand k at
     n sites.
     """
+    check_sites("column construction", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= k < length:
         raise BellkitError(f"column index {k} out of range for {n_sites} sites")
@@ -173,10 +184,6 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
 def bell_poly(index: UVIndex) -> BellPolynomial:
     """Family member for (u, v): signed summands, shifted onto odd powers."""
     n = index.n_sites
-    if n > POLY_MAX_SITES:
-        raise CapExceededError(
-            f"family construction capped at {POLY_MAX_SITES} sites, got {n}"
-        )
     half = index.summands
     u_bits = np.fromiter(
         ((index.u >> k) & 1 for k in range(half)), dtype=np.int64, count=half
@@ -191,7 +198,7 @@ def bell_poly(index: UVIndex) -> BellPolynomial:
     coeffs = np.empty(1 << n, dtype=np.int64)
     coeffs[0::2] = even
     coeffs[1::2] = odd
-    return BellPolynomial(n, tuple(int(c) for c in coeffs))
+    return BellPolynomial._trusted(n, tuple(coeffs.tolist()))
 
 
 def evaluate(p: BellPolynomial, z):
@@ -227,22 +234,21 @@ def constant_coeff(index: UVIndex) -> int:
 
 
 def bowtie(a: BellPolynomial, b: BellPolynomial) -> BellPolynomial:
-    """(1 + z^(2^N)) A(z) + (1 - z^(2^N)) B(z), one site more."""
+    """(1 + z^(2^N)) A(z) + (1 - z^(2^N)) B(z), one site more.
+
+    The coefficients are the pairwise sums of a and b, then the pairwise
+    differences. The lift is built by the validating constructor of
+    type(a), so it has a's record type and meets that type's checks.
+    """
     if a.n_sites != b.n_sites:
         raise BellkitError("operands must have the same site count")
-    if abs(evaluate(a, 1)) != abs(evaluate(b, 1)):
+    if abs(sum(a.coeffs)) != abs(sum(b.coeffs)):
         raise BellkitError(
             "operands must have equal |value at 1|; pre-scale one of them"
         )
-    m = 1 << a.n_sites
-    out = [0] * (2 * m)
-    for i, c in enumerate(a.coeffs):
-        out[i] += c
-        out[i + m] += c
-    for i, c in enumerate(b.coeffs):
-        out[i] += c
-        out[i + m] -= c
-    return BellPolynomial(a.n_sites + 1, tuple(out))
+    sums = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    diffs = tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    return type(a)(a.n_sites + 1, sums + diffs)
 
 
 @dataclass(frozen=True)
@@ -271,12 +277,3 @@ def normalize(p: BellPolynomial) -> NormalizedBellPolynomial:
     return NormalizedBellPolynomial(
         p.n_sites, tuple(Fraction(c, denominator) for c in p.coeffs)
     )
-
-
-def to_coefficient_vector(p: BellPolynomial) -> CoefficientVector:
-    """Shared-coefficient bridge; rejects zero-sum polynomials."""
-    return CoefficientVector(p.n_sites, p.coeffs)
-
-
-def from_coefficient_vector(v: CoefficientVector) -> BellPolynomial:
-    return BellPolynomial(v.n_sites, v.coeffs)

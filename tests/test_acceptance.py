@@ -204,14 +204,14 @@ def test_criterion_10_max_b0_construction():
     assert len(members) == 7
     reversed_family = {p.coeffs for p in analysis.max_b0_family(3, 1)}
     via_reverse = {
-        ineq.reverse_observables(poly.to_coefficient_vector(p)).coeffs
+        ineq.reverse_observables(p).coeffs
         for p in members
     }
     assert reversed_family == via_reverse
     for p in members:
         assert analysis.term_count(p.coeffs) == 8
         assert all(c % 2 == 1 for c in p.coeffs)
-        assert lhv.is_tight(poly.to_coefficient_vector(p), 4)
+        assert lhv.is_tight(p, 4)
     _pass(10, "seven members exact, reversal closes the second family")
 
 

@@ -221,7 +221,7 @@ class TestMaxB0Family:
         for p in analysis.max_b0_family(n, 0):
             assert all(c % 2 == 1 for c in p.coeffs)
             assert analysis.term_count(p.coeffs) == 1 << n
-            v = poly.to_coefficient_vector(p)
+            v = ineq.CoefficientVector(p.n_sites, p.coeffs)
             assert ineq.standard_form(v).coeffs == v.coeffs
             assert lhv.max_lhv(v) == 1 << (n - 1)
 
@@ -253,5 +253,5 @@ class TestFullTermBoundLink:
                     continue
                 p = poly.bell_poly(poly.UVIndex(n, u, v))
                 assert analysis.term_count(p.coeffs) == 1 << n
-                sf = ineq.standard_form(poly.to_coefficient_vector(p))
+                sf = ineq.standard_form(p)
                 assert ineq.bound(sf) == half

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -149,6 +150,12 @@ class TestPolyCommand:
     def test_eval_bad_rational(self):
         run_cli("poly", "eval", "--coeffs", "1,1", "--z", "pi", expect_code=2)
 
+    def test_eval_value_past_digit_limit(self):
+        out = run_cli("poly", "eval", "--coeffs", "0,0,1,0",
+                      "--z", "1" + "0" * 3000, expect_code=2)
+        message = json.loads(out.stderr)["error"]["message"]
+        assert f"more than {sys.get_int_max_str_digits()} digits" in message
+
     def test_zero_sum_output_feeds_back(self):
         out = run_cli("poly", "s", "--n", "2", "--k", "1")
         payload = json.loads(out.stdout)["payload"]
@@ -291,6 +298,35 @@ class TestIdentityCommand:
     def test_text(self):
         out = run_cli("identity", "--n", "2", "--format", "text")
         assert out.stdout.strip() == "6 == 6: true"
+
+
+def _limit_memory():
+    # a command that allocates 2^N entries before its cap check then fails
+    # fast instead of taking all of the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestSiteCaps:
+    @pytest.mark.parametrize("args, message", [
+        (("gen", "--n", "40", "--c", "0"),
+         "sign vectors capped at 14 sites, got 40"),
+        (("poly", "s", "--n", "40", "--k", "0"),
+         "summand construction capped at 14 sites, got 40"),
+        (("poly", "buv", "--n", "40", "--u", "0", "--v", "0"),
+         "family construction capped at 14 sites, got 40"),
+        (("construct", "max-b0", "--n", "40", "--k", "0"),
+         "family construction capped at 14 sites, got 40"),
+        (("identity", "--n", "40"), "binomial identity capped at 13 sites, got 40"),
+        (("identity", "--n", "14"), "binomial identity capped at 13 sites, got 14"),
+    ])
+    def test_checked_before_allocation(self, args, message):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(BASE + list(args), capture_output=True, text=True,
+                             env=env, preexec_fn=_limit_memory, timeout=60)
+        assert out.returncode == 2, out.stderr
+        error = json.loads(out.stderr)
+        assert error["command"] == args[0]
+        assert error["error"]["message"] == message
 
 
 class TestUsageErrors:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellkit import inequality as ineq
+from bellkit import analysis, inequality as ineq
+from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from conftest import (
     bfs_canonical,
@@ -156,8 +157,38 @@ class TestBowtie:
         assert out.coeffs == (2, 2, 2, -2, 0, 0, 0, 0)
 
     def test_unequal_bounds_rejected(self):
-        with pytest.raises(BellkitError):
+        with pytest.raises(BellkitError, match=r"equal \|value at 1\|"):
             ineq.bowtie((1, 1, 1, -1), (1, 0, 0, 0))
+
+    def test_opposite_sums_lift(self):
+        # the lift sums to twice the first operand's sum, never to zero
+        a, b = (1, 1, 1, -1), (-1, -1, -1, 1)
+        out = ineq.bowtie(a, b)
+        assert type(out) is ineq.CoefficientVector
+        assert out.coeffs == (0, 0, 0, 0, 2, 2, 2, -2)
+        lift = poly.bowtie(poly.BellPolynomial(2, a), poly.BellPolynomial(2, b))
+        assert type(lift) is poly.BellPolynomial
+        assert lift.coeffs == out.coeffs
+
+    def test_zero_sum_operands(self):
+        s = (1, 0, -1, 0)
+        with pytest.raises(BellkitError, match="coefficient sum is zero"):
+            ineq.bowtie(s, s)
+        p = poly.BellPolynomial(2, s)
+        assert poly.bowtie(p, p).coeffs == (2, 0, -2, 0, 0, 0, 0, 0)
+
+    def test_lift_has_the_record_type_of_the_first_operand(self):
+        p = poly.BellPolynomial(2, CHSH.coeffs)
+        assert type(poly.bowtie(CHSH, p)) is ineq.CoefficientVector
+        assert type(poly.bowtie(p, CHSH)) is poly.BellPolynomial
+        # a standard form's self-lift has common factor 2: the vector lift
+        # is a plain vector, the record lift fails the standard-form check
+        sf = ineq.standard_form(CHSH)
+        out = ineq.bowtie(sf, sf)
+        assert type(out) is ineq.CoefficientVector
+        assert out.coeffs == (2, 2, 2, -2, 0, 0, 0, 0)
+        with pytest.raises(BellkitError, match="coprime"):
+            poly.bowtie(sf, sf)
 
     def test_site_count_mismatch_rejected(self):
         with pytest.raises(BellkitError):
@@ -402,3 +433,53 @@ class TestRelabelingOracle:
         assert rep.coeffs <= ineq.standard_form(v).coeffs
         for g in default_generators(5):
             assert ineq.canonical(g(v)) == rep
+
+
+def assert_valid_rows(records):
+    """Rows built without checks equal their validated reconstruction."""
+    records = list(records)
+    assert records
+    for x in records:
+        assert type(x)(x.n_sites, x.coeffs) == x
+
+
+class TestTrustedRows:
+    """Every row built by ``_trusted`` passes its own type's checks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumeration_and_transforms(self, n):
+        vectors = [v for _, v in ineq.enumerate_inequalities(n)]
+        assert_valid_rows(vectors)
+        assert_valid_rows(ineq.from_sign_vector(signs_of_code(code, n))
+                          for code in range(1 << (1 << n)))
+        assert_valid_rows(ineq.standard_form(v) for v in vectors)
+        assert_valid_rows(ineq.reverse_observables(v) for v in vectors)
+        assert_valid_rows(ineq.reverse_observables(ineq.standard_form(v))
+                          for v in vectors)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orbits(self, n):
+        for _, v in ineq.enumerate_inequalities(n):
+            assert_valid_rows(ineq.symmetry_orbit(v))
+            assert_valid_rows([ineq.canonical(v)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bell_poly(self, n):
+        half = 1 << (n - 1)
+        assert_valid_rows(poly.bell_poly(poly.UVIndex(n, u, v))
+                          for u in range(1 << half) for v in range(1 << half))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_max_b0_family(self, n, k):
+        assert_valid_rows(analysis.max_b0_family(n, k))
+
+    def test_bowtie_lifts_standard_forms(self):
+        forms = {ineq.standard_form(v) for _, v in ineq.enumerate_inequalities(2)}
+        for a in forms:
+            for b in forms:
+                try:
+                    lift = poly.bowtie(a, b)
+                except BellkitError:
+                    continue
+                assert_valid_rows([lift, ineq.bowtie(a, b)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bellkit import inequality as ineq
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError
-from conftest import poly_from_factors, read_golden, signs_of_code
+from conftest import poly_from_factors, poly_mul, read_golden, signs_of_code
 
 
 def family_indices(n):
@@ -281,17 +281,25 @@ class TestBowtie:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_agrees_with_vector_lift_on_all_pairs(self, n):
+        # oracle: (1 + z^m) A(z) + (1 - z^m) B(z) multiplied out term by term
+        m = 1 << n
+        plus = [1] + [0] * (m - 1) + [1]
+        minus = [1] + [0] * (m - 1) + [-1]
         members = [
             poly.bell_poly(poly.UVIndex(n, u, v)) for u, v in family_indices(n)
         ]
         for a in members:
             for b in members:
                 lifted = poly.bowtie(a, b)
-                via_vectors = ineq.bowtie(
-                    poly.to_coefficient_vector(a), poly.to_coefficient_vector(b)
-                )
-                assert lifted.coeffs == via_vectors.coeffs
-                assert lifted.n_sites == via_vectors.n_sites
+                expanded = [x + y for x, y in zip(poly_mul(plus, list(a.coeffs)),
+                                                  poly_mul(minus, list(b.coeffs)))]
+                assert list(lifted.coeffs) == expanded[:2 * m]
+                assert not any(expanded[2 * m:])
+                assert type(lifted) is poly.BellPolynomial
+                via_vectors = ineq.bowtie(a, b)
+                assert type(via_vectors) is ineq.CoefficientVector
+                assert via_vectors.coeffs == lifted.coeffs
+                assert via_vectors.n_sites == lifted.n_sites == n + 1
 
 
 class TestNormalize:
@@ -323,25 +331,45 @@ class TestNormalize:
 
 
 class TestBridge:
+    """The record chain BellPolynomial <- CoefficientVector <- StandardForm.
+
+    An inequality is a Bell polynomial with B(1) != 0, so no conversion
+    functions are needed between the two views.
+    """
+
     def test_round_trip_examples(self):
         v = ineq.CoefficientVector(2, (1, 1, 1, -1))
-        p = poly.from_coefficient_vector(v)
-        assert str(p) == "1+z+z^2-z^3"
-        assert poly.to_coefficient_vector(p) == v
+        assert isinstance(v, poly.BellPolynomial)
+        assert str(v) == "1+z+z^2-z^3"
+        p = poly.BellPolynomial(v.n_sites, v.coeffs)
+        # equality still needs the same record type
+        assert p != v
+        assert ineq.CoefficientVector(p.n_sites, p.coeffs) == v
+        assert isinstance(ineq.standard_form(p), poly.BellPolynomial)
 
     def test_pure_power(self):
         p = poly.BellPolynomial(2, (0, 0, 2, 0))
         assert str(p) == "2z^2"
-        assert poly.to_coefficient_vector(p).coeffs == (0, 0, 2, 0)
+        v = ineq.CoefficientVector(p.n_sites, p.coeffs)
+        assert v.coeffs == (0, 0, 2, 0)
+        assert str(v) == "2z^2"
+        assert ineq.bound(p) == ineq.bound(v) == 2
 
     def test_round_trip_whole_table(self):
         for u, v in family_indices(2):
             p = poly.bell_poly(poly.UVIndex(2, u, v))
-            assert poly.from_coefficient_vector(poly.to_coefficient_vector(p)) == p
+            vector = ineq.CoefficientVector(p.n_sites, p.coeffs)
+            assert poly.BellPolynomial(vector.n_sites, vector.coeffs) == p
+            assert str(vector) == str(p)
+            assert ineq.bound(p) == abs(poly.evaluate(p, 1))
 
     def test_zero_sum_rejected_at_vector_side(self):
-        with pytest.raises(BellkitError):
-            poly.to_coefficient_vector(poly.summand_poly(2, 1))
+        p = poly.summand_poly(2, 1)
+        assert poly.evaluate(p, 1) == 0
+        with pytest.raises(BellkitError, match="coefficient sum is zero"):
+            ineq.CoefficientVector(p.n_sites, p.coeffs)
+        with pytest.raises(BellkitError, match="coefficient sum is zero"):
+            ineq.bound(p)
 
 
 class TestCoefficientStructure:
