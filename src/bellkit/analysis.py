@@ -199,6 +199,7 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
+    check_sites("zero probability", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= k < length:
         raise BellkitError(f"position {k} out of range")

@@ -66,8 +66,11 @@ class CoefficientVector(BellPolynomial):
             raise BellkitError("coefficient sum is zero: not a Bell inequality")
 
     @classmethod
-    def from_ints(cls, values: Iterable[int]) -> "CoefficientVector":
-        """Build from a plain sequence, inferring the site count."""
+    def from_ints(cls, values: Iterable[int],
+                  n_sites: int | None = None) -> "CoefficientVector":
+        """Build from a plain sequence; without n_sites its length must be 2^N."""
+        if n_sites is not None:
+            return super().from_ints(values, n_sites)
         coeffs = tuple(int(v) for v in values)
         return cls(site_count(len(coeffs)), coeffs)
 
@@ -113,16 +116,6 @@ def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     if not 0 <= code < (1 << length):
         raise BellkitError(f"code {code} out of range for {n_sites} sites")
     return tuple(1 - 2 * ((code >> j) & 1) for j in range(length))
-
-
-def code_from_sign_vector(c: Sequence[int]) -> int:
-    code = 0
-    for j, value in enumerate(c):
-        if value == -1:
-            code |= 1 << j
-        elif value != 1:
-            raise BellkitError("sign vector entries must be +1 or -1")
-    return code
 
 
 def from_sign_vector(c: Sequence[int]) -> CoefficientVector:
@@ -175,15 +168,13 @@ def enumerate_inequalities(
     *,
     stream: bool = False,
     batch_size: int = 1 << 13,
-    jobs: int = 1,
 ) -> Iterator[tuple[int, CoefficientVector]]:
     """Yield (code, vector) for every sign vector, in code order.
 
     All 2^(2^N) inequalities are produced. Materializing the stream is
     reasonable up to N = 4 (65 536 items); N = 5 yields 2^32 items and
     must be requested explicitly with ``stream=True``. Transforms are
-    computed in code-range batches of ``batch_size``; ``jobs`` is accepted
-    and has no effect.
+    computed in code-range batches of ``batch_size``.
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")

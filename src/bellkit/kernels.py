@@ -11,10 +11,12 @@ longer on a production path: ``lhv.max_lhv`` contracts site by site, and
 the tests keep the scan as its O(8^N) oracle.
 
 The census never runs the butterfly. With r_k the bitmask of the -1
-entries of Sylvester row k, entry k of the transform of code c is
-2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
-Reed-Muller distance identity), so a zero is a Hamming distance of
-exactly 2^(N-1), and a batch costs a few bytes per code.
+entries of Sylvester row k (``sylvester_masks``), entry k of the
+transform of code c is 2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum /
+first-order Reed-Muller distance identity), so a zero is a Hamming
+distance of exactly 2^(N-1), and a batch costs a few bytes per code.
+The same masks, as Python ints of up to 2^13 bits, give every family
+member in ``polynomial.bell_poly``.
 """
 from __future__ import annotations
 
@@ -51,17 +53,20 @@ def wht_rows(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def sylvester_masks(length: int) -> np.ndarray:
-    """Bitmask r_k of the -1 entries of Sylvester row k, for every k.
+def sylvester_masks(length: int) -> tuple[int, ...]:
+    """Bitmask r_k of the -1 entries of Sylvester row k, for every k < length.
 
     Bit j of r_k is the parity of popcount(j AND k), the same bit
-    convention as the codes. Read-only, built once per length on demand.
+    convention as the codes; length is a power of two. Built by the
+    doubling H_2w = [[H_w, H_w], [H_w, -H_w]], once per length on demand.
     """
-    j = np.arange(length, dtype=np.uint64)
-    parity = np.bitwise_count(j[:, None] & j) & 1
-    masks = (parity.astype(np.uint64) << j).sum(axis=1, dtype=np.uint64)
-    masks.flags.writeable = False
-    return masks
+    rows, w = (0,), 1
+    while w < length:
+        ones = (1 << w) - 1
+        rows = (tuple(r | r << w for r in rows)
+                + tuple(r | (r ^ ones) << w for r in rows))
+        w *= 2
+    return rows
 
 
 def classify_batch(codes: np.ndarray, length: int):
@@ -76,7 +81,7 @@ def classify_batch(codes: np.ndarray, length: int):
     """
     c = np.asarray(codes).astype(np.uint64)
     half = length // 2
-    masks = sylvester_masks(length)
+    masks = np.array(sylvester_masks(length), dtype=np.uint64)
     zero_counts = np.empty(length, dtype=np.int64)
     zeros = np.zeros(c.size, dtype=np.uint8)
     for k, r in enumerate(masks):

@@ -120,10 +120,9 @@ def max_lhv(v: CoefficientVector | Sequence[int], *, jobs: int = 1) -> int:
     return int(np.abs(t).max())
 
 
-def is_tight(v: CoefficientVector | Sequence[int], claimed_bound: int, *,
-             jobs: int = 1) -> bool:
+def is_tight(v: CoefficientVector | Sequence[int], claimed_bound: int) -> bool:
     """True when some deterministic strategy attains exactly the claim."""
-    return max_lhv(v, jobs=jobs) == claimed_bound
+    return max_lhv(v) == claimed_bound
 
 
 # -- singlet fixtures ---------------------------------------------------------

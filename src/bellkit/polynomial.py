@@ -23,6 +23,17 @@ k. Useful consequences, all exact:
     -B    has index (u with all bits flipped, v)
     B(-z) has index (u XOR v, v)
 
+Summand k is column k of the order-2^(N-1) sign matrix H spread onto the
+even powers, so with sigma = (-1)^u bitwise the even coefficients of B
+are H sigma(1 - v) and the odd ones H sigma v. Writing W(c) for the
+(N-1)-site transform of the sign-vector code c (entry i is
+2^(N-1) - 2 popcount(c XOR r_i), r_i the -1 mask of row i), that is
+
+    B_(u,v) = interleave(W(u) + W(u XOR v), W(u) - W(u XOR v)) / 2,
+
+even coefficients first; ``bell_poly`` computes exactly this from the
+row masks of ``kernels.sylvester_masks``.
+
 ``BellPolynomial`` is also the base of the coefficient-vector records in
 ``inequality``: an inequality is a Bell polynomial with B(1) != 0.
 Everything here uses exact integer (or dyadic rational) arithmetic.
@@ -31,10 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
-
+from . import hadamard, kernels
 from .errors import BellkitError
 from .limits import RECORD_MAX_SITES, check_sites
 
@@ -122,34 +131,6 @@ class UVIndex:
         return 1 << (self.n_sites - 1)
 
 
-@lru_cache(maxsize=None)
-def _summand_even_coeffs(n_sites: int, k: int) -> tuple[int, ...]:
-    """Even-position coefficients of summand k, by halving the site count.
-
-    Dropping the leading factor leaves the summand with index k modulo
-    2^(n-2) for one site fewer; the leading sign is bit n-2 of k.
-    """
-    if n_sites == 1:
-        return (1,)
-    half = 1 << (n_sites - 2)
-    if k < half:
-        prev = _summand_even_coeffs(n_sites - 1, k)
-        return prev + prev
-    prev = _summand_even_coeffs(n_sites - 1, k - half)
-    return prev + tuple(-x for x in prev)
-
-
-@lru_cache(maxsize=None)
-def _summand_matrix(n_sites: int) -> np.ndarray:
-    """Column k holds the even-position coefficients of summand k."""
-    half = 1 << (n_sites - 1)
-    mat = np.empty((half, half), dtype=np.int8)
-    for k in range(half):
-        mat[:, k] = _summand_even_coeffs(n_sites, k)
-    mat.flags.writeable = False
-    return mat
-
-
 def summand_poly(n_sites: int, k: int) -> BellPolynomial:
     """The k-th summand polynomial: even, +-1 coefficients, degree 2^N - 2."""
     if n_sites < 1:
@@ -159,10 +140,8 @@ def summand_poly(n_sites: int, k: int) -> BellPolynomial:
         raise BellkitError(
             f"summand index {k} out of range for {n_sites} sites"
         )
-    even = _summand_even_coeffs(n_sites, k)
     coeffs = [0] * (1 << n_sites)
-    for i, value in enumerate(even):
-        coeffs[2 * i] = value
+    coeffs[0::2] = (hadamard.entry(j, k) for j in range(1 << (n_sites - 1)))
     return BellPolynomial(n_sites, tuple(coeffs))
 
 
@@ -177,28 +156,28 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
     length = 1 << n_sites
     if not 0 <= k < length:
         raise BellkitError(f"column index {k} out of range for {n_sites} sites")
-    coeffs = tuple(-1 if ((j & k).bit_count() & 1) else 1 for j in range(length))
+    coeffs = tuple(hadamard.entry(j, k) for j in range(length))
     return BellPolynomial(n_sites, coeffs)
 
 
 def bell_poly(index: UVIndex) -> BellPolynomial:
-    """Family member for (u, v): signed summands, shifted onto odd powers."""
-    n = index.n_sites
+    """Family member for (u, v): signed summands, shifted onto odd powers.
+
+    With sigma = (-1)^u and tau = (-1)^(u XOR v) bitwise, sigma(1 - v) is
+    (sigma + tau) / 2 and sigma v is (sigma - tau) / 2, so
+
+        B_(u,v) = interleave(W(u) + W(u XOR v), W(u) - W(u XOR v)) / 2
+
+    with W(c)[i] = 2^(N-1) - 2 popcount(c XOR r_i) over the row masks r_i.
+    """
     half = index.summands
-    u_bits = np.fromiter(
-        ((index.u >> k) & 1 for k in range(half)), dtype=np.int64, count=half
-    )
-    v_bits = np.fromiter(
-        ((index.v >> k) & 1 for k in range(half)), dtype=np.int64, count=half
-    )
-    signs = 1 - 2 * u_bits
-    mat = _summand_matrix(n)
-    even = mat @ (signs * (1 - v_bits))
-    odd = mat @ (signs * v_bits)
-    coeffs = np.empty(1 << n, dtype=np.int64)
-    coeffs[0::2] = even
-    coeffs[1::2] = odd
-    return BellPolynomial._trusted(n, tuple(coeffs.tolist()))
+    a, b = index.u, index.u ^ index.v
+    coeffs = []
+    for r in kernels.sylvester_masks(half):
+        wa = half - 2 * (a ^ r).bit_count()
+        wb = half - 2 * (b ^ r).bit_count()
+        coeffs += ((wa + wb) // 2, (wa - wb) // 2)
+    return BellPolynomial._trusted(index.n_sites, tuple(coeffs))
 
 
 def evaluate(p: BellPolynomial, z):

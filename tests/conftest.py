@@ -81,8 +81,10 @@ def coefficients_by_expansion(code: int, n_sites: int) -> list[int]:
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
+    # the factors of poly_from_factors are sparse binomials
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
+        for j, y in b_terms:
             out[i + j] += x * y
     return out
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestZeroProbability:
             assert analysis.zero_probability(3, k) == Fraction(70, 256)
         with pytest.raises(BellkitError):
             analysis.zero_probability(3, 8)
+
+    def test_capped_before_the_binomial(self):
+        # C(2^40, 2^39) would not finish; the cap answers at once
+        assert analysis.zero_probability(14) > 0
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="zero probability capped at 14"):
+            analysis.zero_probability(40)
+        assert time.perf_counter() - start < 1
 
     def test_matches_exhaustive_counts(self):
         for n in (1, 2, 3, 4):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from bellkit import cli
+from bellkit import polynomial as poly
 from conftest import GOLDEN, read_golden
 
 BASE = [sys.executable, "-m", "bellkit"]
@@ -327,6 +328,22 @@ class TestSiteCaps:
         error = json.loads(out.stderr)
         assert error["command"] == args[0]
         assert error["error"]["message"] == message
+
+    def test_largest_family_member_fits(self):
+        # at the record cap: 2^13 summands must fit in 1 GiB and 30 s
+        u, v = (1 << 8192) // 3, (1 << 8192) // 5
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(BASE + ["poly", "buv", "--n", "14", "--u", str(u),
+                                     "--v", str(v)], capture_output=True,
+                             text=True, env=env, preexec_fn=_limit_memory,
+                             timeout=30)
+        assert out.returncode == 0, out.stderr
+        coeffs = json.loads(out.stdout)["payload"]["coeffs"]
+        assert len(coeffs) == 1 << 14
+        # B(1) = (-1)^(u_0) 2^13, B(-1) = (-1)^(u_0 + v_0) 2^13 and B(0)
+        assert sum(coeffs) == (1 - 2 * (u & 1)) << 13
+        assert sum(coeffs[0::2]) - sum(coeffs[1::2]) == (1 - 2 * ((u ^ v) & 1)) << 13
+        assert coeffs[0] == poly.constant_coeff(poly.UVIndex(14, u, v))
 
 
 class TestUsageErrors:

@@ -46,6 +46,15 @@ class TestCoefficientVector:
         with pytest.raises(BellkitError):
             ineq.CoefficientVector.from_ints([1, 2, 3])
 
+    def test_from_ints_takes_the_site_count_of_its_base(self):
+        v = ineq.CoefficientVector.from_ints([1, 1, 1, -1], n_sites=2)
+        assert type(v) is ineq.CoefficientVector
+        assert v == ineq.CoefficientVector(2, (1, 1, 1, -1))
+        # with the count given it zero-pads, as BellPolynomial.from_ints does
+        assert ineq.CoefficientVector.from_ints([3, 1], n_sites=2).coeffs == (3, 1, 0, 0)
+        with pytest.raises(BellkitError):
+            ineq.CoefficientVector.from_ints([1, 1, 1, -1], n_sites=1)
+
     def test_hashable(self):
         assert len({CHSH, ineq.CoefficientVector(2, (1, 1, 1, -1))}) == 1
 
@@ -228,16 +237,11 @@ class TestEnumerate:
         assert len(vectors) == 256
 
     def test_batch_size_invisible(self):
-        a = [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(2)]
-        b = [(c, v.coeffs)
-             for c, v in ineq.enumerate_inequalities(2, batch_size=3)]
-        assert a == b
-
-    def test_jobs_invisible(self):
-        a = [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(3)]
-        b = [(c, v.coeffs)
-             for c, v in ineq.enumerate_inequalities(3, jobs=4, batch_size=32)]
-        assert a == b
+        for n, batch_size in ((2, 3), (3, 32)):
+            a = [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(n)]
+            b = [(c, v.coeffs) for c, v in
+                 ineq.enumerate_inequalities(n, batch_size=batch_size)]
+            assert a == b
 
     def test_streaming_flag_required_beyond_four_sites(self):
         with pytest.raises(BellkitError):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -402,6 +404,47 @@ class TestCoefficientStructure:
                 assert all(c % 2 == 0 for c in coeffs)
             else:
                 assert all(c % 2 == 1 for c in coeffs)
+
+
+@functools.cache
+def factored_summands(n):
+    """Every s_k for n sites, expanded from its factors (no package code)."""
+    exponents = [1 << (i + 1) for i in range(n - 1)]
+    summands = []
+    for k in range(1 << (n - 1)):
+        signs = [-1 if (k >> i) & 1 else 1 for i in range(n - 1)]
+        summands.append(poly_from_factors(exponents, signs))
+    return summands
+
+
+def member_by_expansion(n, u, v):
+    """sum_k (-1)^(u_k) z^(v_k) s_k(z), one summand at a time."""
+    coeffs = [0] * (1 << n)
+    for k, summand in enumerate(factored_summands(n)):
+        sign = -1 if (u >> k) & 1 else 1
+        shift = (v >> k) & 1
+        for power, c in enumerate(summand):
+            coeffs[power + shift] += sign * c
+    return tuple(coeffs)
+
+
+class TestBellPolyExpansion:
+    """``bell_poly`` (row masks) against the paper's term-by-term sum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_pair(self, n):
+        for u, v in family_indices(n):
+            got = poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
+            assert got == member_by_expansion(n, u, v), (u, v)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_seeded_pairs(self, n):
+        rng = random.Random(n)
+        half = 1 << (n - 1)
+        for _ in range(50):
+            u, v = rng.getrandbits(half), rng.getrandbits(half)
+            got = poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
+            assert got == member_by_expansion(n, u, v), (u, v)
 
 
 class TestSignCombinationSum:
