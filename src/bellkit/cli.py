@@ -19,6 +19,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import analysis, hadamard, inequality, lhv, polynomial
 from .errors import BellkitError
 
@@ -135,15 +137,35 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _enum_record(n: int, code: int, coeffs: list[int], bound: int, terms: int) -> str:
+    """The line ``_emit("enum", _vector_payload(code, v))`` prints, as one f-string.
+
+    A list of ints prints as its JSON array, "[a, b, ...]".
+    """
+    return (f'{{"schema_version": {SCHEMA_VERSION}, "command": "enum", "payload": '
+            f'{{"n": {n}, "c": {code}, "coeffs": {coeffs}, '
+            f'"bound": {bound}, "terms": {terms}}}}}\n')
+
+
 def _cmd_enum(args) -> int:
-    for code, v in inequality.enumerate_inequalities(args.n, stream=args.stream):
-        out = inequality.standard_form(v) if args.standard_form else v
+    """Format each batch of rows straight from its int array; one write per batch."""
+    n = args.n
+    for start, block in inequality.coefficient_batches(n, stream=args.stream):
+        if args.standard_form:
+            block = inequality._standard_rows(block)
+        rows = block.tolist()
+        bounds = np.abs(block.sum(axis=1)).tolist()
         if args.format == "shorthand":
-            print("(" + ", ".join(str(c) for c in out.coeffs) + ")")
+            lines = ["(" + ", ".join(map(str, row)) + ")\n" for row in rows]
         elif args.format == "traditional":
-            print(inequality.to_traditional(out))
+            labels = inequality._setting_labels(n)
+            lines = [inequality._traditional(row, labels, rhs) + "\n"
+                     for row, rhs in zip(rows, bounds)]
         else:
-            _emit("enum", _vector_payload(code, out))
+            terms = np.count_nonzero(block, axis=1).tolist()
+            lines = [_enum_record(n, code, row, rhs, t) for code, (row, rhs, t)
+                     in enumerate(zip(rows, bounds, terms), start)]
+        sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -163,18 +163,19 @@ def bowtie(a: CoefficientVector | Sequence[int],
     return polynomial.bowtie(CoefficientVector(a.n_sites, a.coeffs), b)
 
 
-def enumerate_inequalities(
+def coefficient_batches(
     n_sites: int,
     *,
     stream: bool = False,
-    batch_size: int = 1 << 13,
-) -> Iterator[tuple[int, CoefficientVector]]:
-    """Yield (code, vector) for every sign vector, in code order.
+    batch_size: int = 1 << 10,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first code, int64 rows) for every sign vector, in code order.
 
-    All 2^(2^N) inequalities are produced. Materializing the stream is
-    reasonable up to N = 4 (65 536 items); N = 5 yields 2^32 items and
-    must be requested explicitly with ``stream=True``. Transforms are
-    computed in code-range batches of ``batch_size``.
+    Row i of a batch is the raw coefficient vector of code start + i;
+    a batch holds ``batch_size`` codes, the last one possibly fewer.
+    Materializing is reasonable up to N = 4 (65 536 rows); N = 5 means
+    2^32 rows and must be requested explicitly with ``stream=True``.
+    The checks run when the first batch is requested.
     """
     if n_sites < 1:
         raise BellkitError("site count must be at least 1")
@@ -187,28 +188,56 @@ def enumerate_inequalities(
     total = 1 << (1 << n_sites)
     for start in range(0, total, batch_size):
         codes = np.arange(start, min(start + batch_size, total), dtype=np.int64)
-        block = kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
-        for offset, row in enumerate(block):
-            yield start + offset, CoefficientVector._trusted(
-                n_sites, tuple(row.tolist())
-            )
+        yield start, kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
+
+
+def enumerate_inequalities(
+    n_sites: int,
+    *,
+    stream: bool = False,
+    batch_size: int = 1 << 10,
+) -> Iterator[tuple[int, CoefficientVector]]:
+    """Yield (code, vector) for every sign vector, in code order.
+
+    The records of ``coefficient_batches``, which takes the same
+    arguments and makes the same checks.
+    """
+    for start, block in coefficient_batches(n_sites, stream=stream,
+                                            batch_size=batch_size):
+        for code, row in enumerate(block.tolist(), start):
+            yield code, CoefficientVector._trusted(n_sites, tuple(row))
+
+
+def _standard_rows(block: np.ndarray) -> np.ndarray:
+    """``standard_form`` of every row of an int64 block with nonzero row sums."""
+    rows = block // np.gcd.reduce(block, axis=1)[:, None]
+    rows[rows.sum(axis=1) < 0] *= -1
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _setting_labels(n_sites: int) -> tuple[str, ...]:
+    """The term label E(d_1,...,d_N) of every index, digits 1-based."""
+    return tuple("E(" + ",".join(str(d + 1) for d in setting_digits(k, n_sites)) + ")"
+                 for k in range(1 << n_sites))
+
+
+def _traditional(coeffs: Iterable[int], labels: Sequence[str], rhs: int) -> str:
+    """|b_0 E(...) + ...| <= rhs, skipping zero terms; at least one term is nonzero.
+
+    Every term is rendered as " + 2E(...)" or " − E(...)"; the first drops
+    the separator and keeps only a minus sign.
+    """
+    text = "".join([(" + " if c > 0 else f" {MINUS} ")
+                    + ("" if abs(c) == 1 else str(abs(c))) + label
+                    for c, label in zip(coeffs, labels) if c])
+    return f"|{'' if text[1] == '+' else MINUS}{text[3:]}| {LEQ} {rhs}"
 
 
 def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
     """Render with 1-based observable digits, e.g. |E(1,1) - E(1,2)| <= 2."""
     v = _as_vector(v)
-    parts: list[str] = []
-    for k, c in enumerate(v.coeffs):
-        if c == 0:
-            continue
-        digits = ",".join(str(d + 1) for d in setting_digits(k, v.n_sites))
-        magnitude = "" if abs(c) == 1 else str(abs(c))
-        term = f"{magnitude}E({digits})"
-        if not parts:
-            parts.append(term if c > 0 else MINUS + term)
-        else:
-            parts.append(f" {'+' if c > 0 else MINUS} {term}")
-    return f"|{''.join(parts)}| {LEQ} {bound(v)}"
+    return _traditional(v.coeffs, _setting_labels(v.n_sites), bound(v))
 
 
 def reverse_observables(v: CoefficientVector | Sequence[int]) -> CoefficientVector:

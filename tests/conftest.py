@@ -100,6 +100,29 @@ def poly_from_factors(exponents: list[int], signs: list[int]) -> list[int]:
     return poly
 
 
+def traditional_text(coeffs: Sequence[int]) -> str:
+    """Traditional notation term by term, digits straight from ``setting_digits``.
+
+    The reference for ``inequality.to_traditional`` and ``enum --format
+    traditional``: "|2E(1,1) − E(1,2)| ≤ 2", zero terms skipped, no
+    magnitude written for +-1.
+    """
+    n_sites = len(coeffs).bit_length() - 1
+    text = ""
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        digits = ",".join(str(d + 1) for d in setting_digits(k, n_sites))
+        term = ("" if abs(c) == 1 else str(abs(c))) + "E(" + digits + ")"
+        if text == "":
+            text = term if c > 0 else "−" + term
+        elif c > 0:
+            text = text + " + " + term
+        else:
+            text = text + " − " + term
+    return "|" + text + "| ≤ " + str(abs(sum(coeffs)))
+
+
 # -- relabeling oracle: per-element transforms closed by a BFS ----------------
 #
 # The slow reference for ``inequality.symmetry_orbit`` and ``canonical``,

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from bellkit import cli
+from bellkit import analysis, cli, inequality
 from bellkit import polynomial as poly
 from conftest import GOLDEN, read_golden
 
@@ -110,6 +111,87 @@ class TestEnumCommand:
     def test_cap_exceeded(self):
         out = run_cli("enum", "--n", "6", "--stream", expect_code=2)
         assert "capped" in json.loads(out.stderr)["error"]["message"]
+
+
+def enum_head(args, lines):
+    """Run ``enum``, read its first lines, close the pipe like ``| head``.
+
+    Returns (the lines read, exit code, stderr).
+    """
+    proc = subprocess.Popen(BASE + ["enum", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = b"".join(proc.stdout.readline() for _ in range(lines))
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    return head, proc.returncode, stderr
+
+
+def enum_oracle(n, fmt, standard):
+    """Every ``enum`` line built one record at a time with the public API."""
+    lines = []
+    for code, v in inequality.enumerate_inequalities(n):
+        out = inequality.standard_form(v) if standard else v
+        if fmt == "shorthand":
+            lines.append("(" + ", ".join(str(c) for c in out.coeffs) + ")")
+        elif fmt == "traditional":
+            lines.append(inequality.to_traditional(out))
+        else:
+            payload = {"n": n, "c": code, "coeffs": list(out.coeffs),
+                       "bound": inequality.bound(out),
+                       "terms": analysis.term_count(out)}
+            lines.append(json.dumps({"schema_version": 1, "command": "enum",
+                                     "payload": payload}, ensure_ascii=False))
+    return lines
+
+
+class TestEnumOutput:
+    """Batched ``enum`` output against the per-record path and frozen digests."""
+
+    DIGESTS = json.loads(read_golden("enum_stdout_sha256.json"))
+
+    @pytest.mark.parametrize("command", [c for c in DIGESTS if "--stream" not in c])
+    def test_four_site_digest(self, command):
+        out = subprocess.run(BASE + command.split(), capture_output=True)
+        assert (out.returncode, out.stderr) == (0, b"")
+        assert hashlib.sha256(out.stdout).hexdigest() == self.DIGESTS[command]
+
+    def test_five_site_stream_digest(self):
+        # 70,000 lines cross batch boundaries at both 1,024 and 8,192 rows
+        head, code, stderr = enum_head(["--n", "5", "--stream"], 70_000)
+        assert (code, stderr) == (0, b"")
+        digest = self.DIGESTS["enum --n 5 --stream | head -n 70000"]
+        assert hashlib.sha256(head).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_record_oracle(self, n, capsys):
+        for fmt in ("json", "shorthand", "traditional"):
+            for standard in (False, True):
+                argv = ["enum", "--n", str(n), "--format", fmt]
+                assert cli.main(argv + ["--standard-form"] * standard) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert lines == enum_oracle(n, fmt, standard), (fmt, standard)
+
+    def test_record_helper_matches_json_dumps(self):
+        payload = {"n": 2, "c": 7, "coeffs": [-2, 2, 0, 4], "bound": 4, "terms": 3}
+        record = {"schema_version": cli.SCHEMA_VERSION, "command": "enum",
+                  "payload": payload}
+        assert cli._enum_record(2, 7, [-2, 2, 0, 4], 4, 3) == (
+            json.dumps(record, ensure_ascii=False) + "\n")
+
+
+class TestBrokenPipe:
+    """A reader that stops early, before or inside a batch, is a normal exit."""
+
+    @pytest.mark.parametrize("lines", [1, 70_000])
+    @pytest.mark.parametrize("args", [
+        [], ["--standard-form", "--format", "traditional"]])
+    def test_exit_zero_and_quiet(self, args, lines):
+        head, code, stderr = enum_head(["--n", "5", "--stream", *args], lines)
+        assert head.count(b"\n") == lines
+        assert (code, stderr) == (0, b"")
 
 
 class TestPolyCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -20,6 +21,7 @@ from conftest import (
     read_golden,
     signs_of_code,
     site_permutation,
+    traditional_text,
     value_flip,
 )
 
@@ -242,6 +244,41 @@ class TestEnumerate:
             b = [(c, v.coeffs) for c, v in
                  ineq.enumerate_inequalities(n, batch_size=batch_size)]
             assert a == b
+        blocks = {}
+        for batch_size in (1, 1000, 8192):
+            batches = list(ineq.coefficient_batches(4, batch_size=batch_size))
+            assert [start for start, _ in batches] == list(
+                range(0, 1 << 16, batch_size))
+            blocks[batch_size] = np.concatenate([block for _, block in batches])
+        assert np.array_equal(blocks[1], blocks[1000])
+        assert np.array_equal(blocks[1], blocks[8192])
+        codes = np.arange(1 << 16)
+        signs = 1 - 2 * ((codes[:, None] >> np.arange(16)) & 1)
+        assert np.array_equal(blocks[1], signs @ formula_matrix(4))
+
+    @pytest.mark.parametrize("batch_size", [1000, 1024, 8192])
+    def test_first_five_site_batches(self, batch_size):
+        batches = list(itertools.islice(
+            ineq.coefficient_batches(5, stream=True, batch_size=batch_size), 3))
+        assert [start for start, _ in batches] == [0, batch_size, 2 * batch_size]
+        codes = np.arange(3 * batch_size)
+        signs = 1 - 2 * ((codes[:, None] >> np.arange(32)) & 1)
+        rows = np.concatenate([block for _, block in batches])
+        assert np.array_equal(rows, signs @ formula_matrix(5))
+
+    def test_records_are_the_batch_rows(self):
+        rows = np.concatenate([block for _, block in ineq.coefficient_batches(3)])
+        items = list(ineq.enumerate_inequalities(3))
+        assert [code for code, _ in items] == list(range(256))
+        assert [v.coeffs for _, v in items] == [tuple(r) for r in rows.tolist()]
+
+    def test_batch_checks_are_lazy(self):
+        batches = ineq.coefficient_batches(6, stream=True)
+        with pytest.raises(CapExceededError):
+            next(batches)
+        for n in (0, 5):
+            with pytest.raises(BellkitError):
+                next(ineq.coefficient_batches(n))
 
     def test_streaming_flag_required_beyond_four_sites(self):
         with pytest.raises(BellkitError):
@@ -273,6 +310,30 @@ class TestTraditionalNotation:
         rendered = ineq.to_traditional(THREE_SITE_MIXED)
         assert rendered.startswith("|3E(1,1,1) + E(1,1,2)")
         assert rendered.endswith("− E(2,2,2)| ≤ 4")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_member_matches_term_by_term(self, n):
+        for _, v in ineq.enumerate_inequalities(n):
+            for w in (v, ineq.standard_form(v)):
+                assert ineq.to_traditional(w) == traditional_text(w.coeffs)
+
+    def test_scaled_and_negative_terms(self):
+        for coeffs in ((-1, 0), (0, -7), (-12, 3, 0, -1), (5, -5, 5, 1)):
+            assert ineq.to_traditional(coeffs) == traditional_text(coeffs)
+
+
+class TestStandardRows:
+    """The row-wise standard form against ``standard_form`` one row at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [1, -3, 6])
+    def test_every_member(self, n, scale):
+        block = scale * np.concatenate(
+            [b for _, b in ineq.coefficient_batches(n)])
+        want = [ineq.standard_form(row).coeffs for row in block.tolist()]
+        got = ineq._standard_rows(block)
+        assert got.dtype == np.int64
+        assert [tuple(row) for row in got.tolist()] == want
 
 
 class TestReverseObservables:
