@@ -13,6 +13,7 @@ lines instead of records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, hadamard, inequality, lhv, polynomial
+from . import analysis, hadamard, inequality, kernels, lhv, polynomial
 from .errors import BellkitError
 
 SCHEMA_VERSION = 1
@@ -137,35 +138,43 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _enum_record(n: int, code: int, coeffs: list[int], bound: int, terms: int) -> str:
-    """The line ``_emit("enum", _vector_payload(code, v))`` prints, as one f-string.
+@functools.lru_cache(maxsize=None)
+def _number_tokens(n: int, suffix: str = "") -> np.ndarray:
+    """``kernels.token_table`` of f"{v}{suffix}" for v = -2^n .. 2^n, row v + 2^n."""
+    return kernels.token_table([f"{v}{suffix}" for v in range(-(1 << n), (1 << n) + 1)])
 
-    A list of ints prints as its JSON array, "[a, b, ...]".
+
+def _enum_text(n: int, start: int, block: np.ndarray, fmt: str) -> str:
+    """The ``enum`` lines of the rows of codes start, start + 1, ..., as one text.
+
+    Every entry, row sum and term count lies in [-2^n, 2^n], as in every
+    family member and its standard form, so each is one token of
+    ``_number_tokens``; JSON lines are the text ``_emit`` prints.
     """
-    return (f'{{"schema_version": {SCHEMA_VERSION}, "command": "enum", "payload": '
-            f'{{"n": {n}, "c": {code}, "coeffs": {coeffs}, '
-            f'"bound": {bound}, "terms": {terms}}}}}\n')
+    shift = 1 << n
+    numbers = _number_tokens(n)
+    bound = kernels.lookup(numbers, np.abs(block.sum(axis=1, keepdims=True)) + shift)
+    if fmt == "traditional":
+        return kernels.join_rows(["|", inequality._traditional_terms(block),
+                                  f"| {inequality.LEQ} ", bound, "\n"])
+    coeffs = [kernels.lookup(_number_tokens(n, ", "), block[:, :-1] + shift),
+              kernels.lookup(numbers, block[:, -1:] + shift)]
+    if fmt == "shorthand":
+        return kernels.join_rows(["(", *coeffs, ")\n"])
+    codes = kernels.decimal_digits(np.arange(start, start + len(block)))
+    terms = kernels.lookup(numbers, np.count_nonzero(block, axis=1, keepdims=True) + shift)
+    return kernels.join_rows([
+        f'{{"schema_version": {SCHEMA_VERSION}, "command": "enum", "payload": '
+        f'{{"n": {n}, "c": ', codes, ', "coeffs": [', *coeffs, '], "bound": ', bound,
+        ', "terms": ', terms, "}}\n"])
 
 
 def _cmd_enum(args) -> int:
-    """Format each batch of rows straight from its int array; one write per batch."""
-    n = args.n
-    for start, block in inequality.coefficient_batches(n, stream=args.stream):
+    """Render each batch of rows as one text and write it at once."""
+    for start, block in inequality.coefficient_batches(args.n, stream=args.stream):
         if args.standard_form:
             block = inequality._standard_rows(block)
-        rows = block.tolist()
-        bounds = np.abs(block.sum(axis=1)).tolist()
-        if args.format == "shorthand":
-            lines = ["(" + ", ".join(map(str, row)) + ")\n" for row in rows]
-        elif args.format == "traditional":
-            labels = inequality._setting_labels(n)
-            lines = [inequality._traditional(row, labels, rhs) + "\n"
-                     for row, rhs in zip(rows, bounds)]
-        else:
-            terms = np.count_nonzero(block, axis=1).tolist()
-            lines = [_enum_record(n, code, row, rhs, t) for code, (row, rhs, t)
-                     in enumerate(zip(rows, bounds, terms), start)]
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(_enum_text(args.n, start, block, args.format))
     return EXIT_OK
 
 

@@ -111,6 +111,8 @@ def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
 
 def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
+    if n_sites < 1:
+        raise BellkitError("site count must be at least 1")
     check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= code < (1 << length):
@@ -188,7 +190,7 @@ def coefficient_batches(
     total = 1 << (1 << n_sites)
     for start in range(0, total, batch_size):
         codes = np.arange(start, min(start + batch_size, total), dtype=np.int64)
-        yield start, kernels.wht_rows(kernels.signs_from_codes(codes, 1 << n_sites))
+        yield start, kernels.sylvester_rows(codes, 1 << n_sites)
 
 
 def enumerate_inequalities(
@@ -222,22 +224,52 @@ def _setting_labels(n_sites: int) -> tuple[str, ...]:
                  for k in range(1 << n_sites))
 
 
-def _traditional(coeffs: Iterable[int], labels: Sequence[str], rhs: int) -> str:
-    """|b_0 E(...) + ...| <= rhs, skipping zero terms; at least one term is nonzero.
+def _term(c: int, label: str, first: bool) -> str:
+    """One nonzero term: " + 2E(1,1)" or " − E(1,2)".
 
-    Every term is rendered as " + 2E(...)" or " − E(...)"; the first drops
-    the separator and keeps only a minus sign.
+    The first term of a line drops the separator and keeps only a minus
+    sign; no magnitude is written for +-1.
     """
-    text = "".join([(" + " if c > 0 else f" {MINUS} ")
-                    + ("" if abs(c) == 1 else str(abs(c))) + label
-                    for c, label in zip(coeffs, labels) if c])
-    return f"|{'' if text[1] == '+' else MINUS}{text[3:]}| {LEQ} {rhs}"
+    if first:
+        sign = "" if c > 0 else MINUS
+    else:
+        sign = " + " if c > 0 else f" {MINUS} "
+    return sign + ("" if abs(c) == 1 else str(abs(c))) + label
 
 
 def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
     """Render with 1-based observable digits, e.g. |E(1,1) - E(1,2)| <= 2."""
     v = _as_vector(v)
-    return _traditional(v.coeffs, _setting_labels(v.n_sites), bound(v))
+    terms = [(c, label) for c, label in zip(v.coeffs, _setting_labels(v.n_sites)) if c]
+    text = "".join(_term(c, label, i == 0) for i, (c, label) in enumerate(terms))
+    return f"|{text}| {LEQ} {bound(v)}"
+
+
+@lru_cache(maxsize=None)
+def _term_table(n_sites: int) -> np.ndarray:
+    """``kernels.token_table`` of every term c E(k) of n sites, |c| <= 2^n.
+
+    Row (k * (2^(n+1) + 1) + c + 2^n) * 2 + first is ``_term(c, E(k),
+    first)``, and the empty token for c = 0.
+    """
+    v = 1 << n_sites
+    return kernels.token_table([_term(c, label, first) if c else ""
+                                for label in _setting_labels(n_sites)
+                                for c in range(-v, v + 1) for first in (False, True)])
+
+
+def _traditional_terms(block: np.ndarray) -> np.ndarray:
+    """The terms of every row of an int64 block as one byte matrix.
+
+    Entries lie in [-2^n, 2^n] and every row has a nonzero one; the
+    matrix is the text between the bars of ``to_traditional``.
+    """
+    n_sites = site_count(block.shape[1])
+    v = 1 << n_sites
+    positions = np.arange(block.shape[1])
+    first = positions == (block != 0).argmax(axis=1)[:, None]
+    index = (positions * (2 * v + 1) + block + v) * 2 + first
+    return kernels.lookup(_term_table(n_sites), index)
 
 
 def reverse_observables(v: CoefficientVector | Sequence[int]) -> CoefficientVector:

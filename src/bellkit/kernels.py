@@ -2,21 +2,28 @@
 
 Two inner loops dominate the package's runtime:
 
-* the length-2^N butterfly transform applied to batches of sign vectors
-  (enumeration, completeness cross-checks),
+* building and printing the rows of the family, one batch of codes at a
+  time (``enum``),
 * streaming classification statistics over millions of sign vectors.
+
+Neither runs the butterfly. With r_k the bitmask of the -1 entries of
+Sylvester row k (``sylvester_masks``), entry k of the transform of code
+c is 2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
+Reed-Muller distance identity). ``sylvester_rows`` builds whole rows
+from it; the census needs only its zeros, Hamming distances of exactly
+2^(N-1), so a census batch costs a few bytes per code. The same masks,
+as Python ints of up to 2^13 bits, give every family member in
+``polynomial.bell_poly``. The butterfly, ``wht_rows``, transforms single
+vectors (``wht_vector``) and is the tests' oracle for the rows.
+
+Rows become text without per-row Python: every token of a line comes
+from a small vocabulary, so a batch is a few NUL-padded byte matrices
+(``token_table`` and ``lookup``, ``decimal_digits``) side by side, and
+``join_rows`` keeps their non-NUL bytes in row-major order.
 
 ``lhv_max_range``, the scan over all deterministic strategies, is no
 longer on a production path: ``lhv.max_lhv`` contracts site by site, and
 the tests keep the scan as its O(8^N) oracle.
-
-The census never runs the butterfly. With r_k the bitmask of the -1
-entries of Sylvester row k (``sylvester_masks``), entry k of the
-transform of code c is 2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum /
-first-order Reed-Muller distance identity), so a zero is a Hamming
-distance of exactly 2^(N-1), and a batch costs a few bytes per code.
-The same masks, as Python ints of up to 2^13 bits, give every family
-member in ``polynomial.bell_poly``.
 """
 from __future__ import annotations
 
@@ -67,6 +74,19 @@ def sylvester_masks(length: int) -> tuple[int, ...]:
                 + tuple(r | (r ^ ones) << w for r in rows))
         w *= 2
     return rows
+
+
+def sylvester_rows(codes: np.ndarray, length: int) -> np.ndarray:
+    """Int64 transform rows of sign-vector codes, one row per code.
+
+    Entry k of row c is length - 2 popcount(c XOR r_k), the identity of
+    the module docstring, so the row equals
+    ``wht_rows(signs_from_codes([c], length))``; length is a power of two
+    from 2 to 64.
+    """
+    c = np.asarray(codes).astype(np.uint64)
+    masks = np.array(sylvester_masks(length), dtype=np.uint64)
+    return length - 2 * np.bitwise_count(c[:, None] ^ masks).astype(np.int64)
 
 
 def classify_batch(codes: np.ndarray, length: int):
@@ -124,3 +144,45 @@ def wht_vector(values) -> np.ndarray:
     """Butterfly transform of a single integer vector (returns a new array)."""
     a = np.array(values, dtype=np.int64).reshape(1, -1)
     return wht_rows(a)[0]
+
+
+def token_table(texts: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of text i as row i of a read-only uint8 table.
+
+    Shorter rows are padded with NUL bytes, which ``join_rows`` drops,
+    so no text may hold one.
+    """
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded))
+    return np.frombuffer(b"".join(b.ljust(width, b"\0") for b in encoded),
+                         dtype=np.uint8).reshape(len(encoded), width)
+
+
+def lookup(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Tokens table[index[i, j]] side by side: a (rows, columns * width) matrix."""
+    return np.take(table, index, axis=0).reshape(len(index), -1)
+
+
+def decimal_digits(values: np.ndarray) -> np.ndarray:
+    """Decimal text of integers in [0, 10^10) as (rows, 10) right-aligned digits.
+
+    Leading zeros are NUL bytes; 0 keeps its one digit.
+    """
+    v = np.asarray(values, dtype=np.int64)[:, None]
+    powers = 10 ** np.arange(9, -1, -1, dtype=np.int64)
+    shown = (v >= powers) | (powers == 1)
+    return np.where(shown, v // powers % 10 + ord("0"), 0).astype(np.uint8)
+
+
+def join_rows(pieces: list) -> str:
+    """Every row's pieces in order, rows in order, as one text; NUL bytes dropped.
+
+    A piece is a (rows, w) uint8 byte matrix, or a str that every row
+    shares.
+    """
+    pieces = [np.frombuffer(p.encode(), dtype=np.uint8)[None] if isinstance(p, str)
+              else p for p in pieces]
+    rows = max(len(p) for p in pieces)
+    matrix = np.concatenate([np.broadcast_to(p, (rows, p.shape[1])) for p in pieces],
+                            axis=1)
+    return matrix[matrix != 0].tobytes().decode()

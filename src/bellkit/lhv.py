@@ -12,8 +12,9 @@ prod_i A_i(k_i) equals (prod_i A_i(0)) * (-1)^(s.k), so every strategy
 value is +-(H_N b)[s]: the local full-correlation vectors are the rows
 of +-H_N (Werner & Wolf, PRA 64, 032112 (2001)). ``max_lhv`` contracts
 one site at a time, keeping the outcome pairs (1, 1) and (1, -1); the
-other two only flip the sign. It shares no code with the butterfly
-transform that generates inequalities, so the two cross-check each other.
+other two only flip the sign. It shares no code with the transforms
+that generate inequalities (``kernels.sylvester_rows`` and the
+butterfly), so they cross-check each other.
 
 The singlet fixtures model two spin measurements at angles theta_i and
 eta_j on a rotationally invariant entangled pair, whose product
@@ -145,6 +146,8 @@ def singlet_expectation(setup: SingletSetup, i: int, j: int) -> float:
 def expectation_table(setup: SingletSetup | None = None,
                       phi: float = 0.0) -> np.ndarray:
     """3x3 table of product expectations, second apparatus tilted by phi."""
+    if not math.isfinite(phi):
+        raise BellkitError(f"phi must be finite, got {phi}")
     setup = setup or SingletSetup()
     return np.array(
         [[-math.cos(setup.thetas[i] - setup.etas[j] - phi) for j in range(3)]

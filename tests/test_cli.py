@@ -1,16 +1,19 @@
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from bellkit import analysis, cli, inequality
+from bellkit import analysis, cli, inequality, kernels
 from bellkit import polynomial as poly
-from conftest import GOLDEN, read_golden
+from conftest import GOLDEN, read_golden, traditional_text
 
 BASE = [sys.executable, "-m", "bellkit"]
 
@@ -65,6 +68,13 @@ class TestGenCommand:
     def test_code_out_of_range(self):
         run_cli("gen", "--n", "1", "--c", "16", expect_code=2)
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_site_count_below_one(self, n):
+        out = run_cli("gen", "--n", n, "--c", "0", expect_code=2)
+        error = json.loads(out.stderr)
+        assert error["command"] == "gen"
+        assert error["error"]["message"] == "site count must be at least 1"
+
 
 class TestEnumCommand:
     def test_single_site_records(self):
@@ -90,6 +100,13 @@ class TestEnumCommand:
     def test_traditional_format(self):
         out = run_cli("enum", "--n", "1", "--format", "traditional")
         assert out.stdout.splitlines()[0] == "|2E(1)| ≤ 2"
+
+    def test_standard_traditional_golden_bytes(self):
+        # the UTF-8 bytes of the minus and the less-or-equal signs
+        out = subprocess.run(BASE + ["enum", "--n", "2", "--standard-form", "--format",
+                                     "traditional"], capture_output=True)
+        assert (out.returncode, out.stderr) == (0, b"")
+        assert out.stdout == (GOLDEN / "enum_n2_standard_traditional.txt").read_bytes()
 
     def test_round_trip_into_verify_and_poly(self):
         out = run_cli("enum", "--n", "2")
@@ -129,13 +146,30 @@ def enum_head(args, lines):
     return head, proc.returncode, stderr
 
 
-def enum_oracle(n, fmt, standard):
-    """Every ``enum`` line built one record at a time with the public API."""
+def enum_line(n, code, coeffs, fmt):
+    """One ``enum`` line without its newline, from plain str operations."""
+    if fmt == "shorthand":
+        return "(" + ", ".join(str(c) for c in coeffs) + ")"
+    if fmt == "traditional":
+        return traditional_text(coeffs)
+    payload = {"n": n, "c": code, "coeffs": list(coeffs), "bound": abs(sum(coeffs)),
+               "terms": sum(1 for c in coeffs if c)}
+    return json.dumps({"schema_version": 1, "command": "enum", "payload": payload},
+                      ensure_ascii=False)
+
+
+def enum_oracle(n, fmt, standard, limit=None):
+    """The first ``limit`` ``enum`` lines (all by default), one record at a time.
+
+    Records, standard forms, bounds, term counts and traditional text
+    come from the public API.
+    """
     lines = []
-    for code, v in inequality.enumerate_inequalities(n):
+    records = inequality.enumerate_inequalities(n, stream=n > 4)
+    for code, v in itertools.islice(records, limit):
         out = inequality.standard_form(v) if standard else v
         if fmt == "shorthand":
-            lines.append("(" + ", ".join(str(c) for c in out.coeffs) + ")")
+            lines.append(enum_line(n, code, out.coeffs, fmt))
         elif fmt == "traditional":
             lines.append(inequality.to_traditional(out))
         else:
@@ -174,12 +208,44 @@ class TestEnumOutput:
                 lines = capsys.readouterr().out.splitlines()
                 assert lines == enum_oracle(n, fmt, standard), (fmt, standard)
 
+    @pytest.mark.parametrize("fmt", ["json", "shorthand", "traditional"])
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_five_site_stream_head(self, fmt, standard):
+        # two batches of the stream, line by line against the record path
+        args = ["--n", "5", "--stream", "--format", fmt] + ["--standard-form"] * standard
+        head, code, stderr = enum_head(args, 2048)
+        assert (code, stderr) == (0, b"")
+        assert head.decode().splitlines() == enum_oracle(5, fmt, standard, 2048)
+
     def test_record_helper_matches_json_dumps(self):
         payload = {"n": 2, "c": 7, "coeffs": [-2, 2, 0, 4], "bound": 4, "terms": 3}
         record = {"schema_version": cli.SCHEMA_VERSION, "command": "enum",
                   "payload": payload}
-        assert cli._enum_record(2, 7, [-2, 2, 0, 4], 4, 3) == (
+        assert cli._enum_text(2, 7, np.array([[-2, 2, 0, 4]]), "json") == (
             json.dumps(record, ensure_ascii=False) + "\n")
+
+    def test_last_five_site_json_batch(self):
+        start = (1 << 32) - 1024
+        block = kernels.sylvester_rows(np.arange(start, 1 << 32), 32)
+        lines = cli._enum_text(5, start, block, "json").splitlines()
+        assert lines == [enum_line(5, code, row, "json")
+                         for code, row in enumerate(block.tolist(), start)]
+
+    @pytest.mark.parametrize("fmt", ["json", "shorthand", "traditional"])
+    def test_edge_rows_match_scalar_oracles(self, fmt):
+        # first nonzero at the last position, magnitudes 1, 10, 16 and 32,
+        # all-negative rows; every row sum stays within [-32, 32]
+        rows = [[0] * 31 + [32], [0] * 31 + [-32], [0] * 30 + [-1, 1],
+                [10, -16, 1, -1] + [0] * 27 + [32], [32, -16, -10, 1] + [0] * 28,
+                [-1] * 32, [-10, -16, -1] + [0] * 29, [-32] + [0] * 31,
+                [0, -10] + [0] * 29 + [-16], [16, 16] + [-1] * 30]
+        text = cli._enum_text(5, 41, np.array(rows, dtype=np.int64), fmt)
+        assert text.splitlines() == [enum_line(5, code, row, fmt)
+                                     for code, row in enumerate(rows, 41)]
+        two_site = [[-2, 0, 0, 0], [0, 0, 0, -4], [1, -1, -1, -1]]
+        text = cli._enum_text(2, 0, np.array(two_site, dtype=np.int64), fmt)
+        assert text.splitlines() == [enum_line(2, code, row, fmt)
+                                     for code, row in enumerate(two_site)]
 
 
 class TestBrokenPipe:
@@ -316,6 +382,25 @@ class TestSingletCommand:
     def test_text_table(self):
         out = run_cli("singlet", "--format", "text")
         assert "i=2" in out.stdout
+
+    @pytest.mark.parametrize("phi", ["0", "0.3", "-2.5", "1e308"])
+    def test_finite_phi_is_strict_json(self, phi):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = run_cli("singlet", f"--phi={phi}")
+        payload = json.loads(out.stdout, parse_constant=reject)["payload"]
+        assert payload["phi"] == float(phi)
+        assert all(math.isfinite(x) for row in payload["table"] for x in row)
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_phi_rejected(self, phi, fmt):
+        out = run_cli("singlet", f"--phi={phi}", "--format", fmt, expect_code=2)
+        assert out.stdout == ""
+        error = json.loads(out.stderr)
+        assert error["command"] == "singlet"
+        assert "finite" in error["error"]["message"]
 
 
 class TestClassifyCommand:

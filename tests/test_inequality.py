@@ -93,6 +93,11 @@ class TestFromSignVector:
         with pytest.raises(BellkitError):
             ineq.from_sign_vector((1, 1, 1))
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_code_decoding_rejects_site_count_below_one(self, n):
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            ineq.sign_vector_from_code(0, n)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_raw_invariants_exhaustive(self, n):
         order = 1 << n

@@ -110,6 +110,50 @@ class TestSylvesterMasks:
             assert masks[k] == expected, k
 
 
+class TestSylvesterRows:
+    """The popcount row builder against the butterfly and the dense product."""
+
+    @staticmethod
+    def check(codes, n):
+        order = 1 << n
+        codes = np.asarray(codes, dtype=np.int64)
+        rows = kernels.sylvester_rows(codes, order)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, kernels.wht_rows(kernels.signs_from_codes(codes, order)))
+        signs = 1 - 2 * ((codes[:, None] >> np.arange(order)) & 1)
+        # H is symmetric, so row c of signs @ H is H @ c
+        assert np.array_equal(rows, signs @ formula_matrix(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_code(self, n):
+        self.check(np.arange(1 << (1 << n)), n)
+
+    def test_first_five_site_batches(self):
+        self.check(np.arange(3 * 1024), 5)
+
+    def test_last_five_site_batch(self):
+        self.check(np.arange((1 << 32) - 1024, 1 << 32), 5)
+
+
+class TestTextKernels:
+    """Byte-matrix rendering against plain str operations."""
+
+    def test_decimal_digits_match_str(self):
+        values = [0, *(10 ** k + d for k in range(1, 10) for d in (-1, 0)), (1 << 32) - 1]
+        digits = kernels.decimal_digits(np.array(values))
+        assert digits.shape == (len(values), 10)
+        assert kernels.join_rows([digits, "\n"]).splitlines() == [str(v) for v in values]
+
+    def test_lookup_and_join(self):
+        texts = ["", "a", "−12", "E(1,2)"]
+        table = kernels.token_table(texts)
+        assert table.dtype == np.uint8 and table.shape == (4, 6)
+        index = np.array([[3, 0, 2], [1, 1, 0], [0, 0, 0]])
+        text = kernels.join_rows(["|", kernels.lookup(table, index), "| ≤ ", "\n"])
+        assert text == "".join("|" + "".join(texts[i] for i in row) + "| ≤ \n"
+                               for row in index.tolist())
+
+
 class TestParityHelper:
     def test_popcount_parity_reference(self):
         # sanity on the test helper itself

@@ -261,6 +261,11 @@ class TestSinglet:
         with pytest.raises(BellkitError):
             lhv.singlet_expectation(lhv.SingletSetup(), 3, 0)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+    def test_table_rejects_non_finite_tilt(self, phi):
+        with pytest.raises(BellkitError, match="finite"):
+            lhv.expectation_table(phi=phi)
+
     @given(st.floats(-10, 10, allow_nan=False))
     def test_tilt_identity(self, phi):
         assert abs(lhv.tilt_identity(phi)) < 1e-12
