@@ -27,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import BellkitError
+from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
-                     STREAM_MAX_SITES, check_sites)
+                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
 from .polynomial import BellPolynomial, UVIndex, bell_poly
 
 DEFAULT_SAMPLE_SIZE = 10_000_000
@@ -104,14 +104,13 @@ def classify(
     Exhaustive by default up to 4 sites. Five sites defaults to a fixed
     seed uniform sample (2^32 members are countable exhaustively, but
     slowly; pass ``exhaustive=True`` to insist). The sample is drawn in
-    fixed-size blocks, so results depend only on (sample_size, seed).
+    fixed-size blocks, so results depend only on (sample_size, seed),
+    which is capped at ``SAMPLE_MAX_SIZE`` draws.
     """
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
+    check_sites("classification", n_sites, STREAM_MAX_SITES)
     if seed < 0:
         raise BellkitError(f"seed must be nonnegative, got {seed}")
     length = 1 << n_sites
-    check_sites("classification", n_sites, STREAM_MAX_SITES)
     if exhaustive is None:
         exhaustive = n_sites <= MATERIALIZE_MAX_SITES and sample_size is None
     if exhaustive and sample_size is not None:
@@ -120,50 +119,40 @@ def classify(
     if exhaustive:
         total = 1 << length
 
-        def batches() -> Iterator[np.ndarray]:
-            for start in range(0, total, batch_size):
-                stop = min(start + batch_size, total)
-                yield np.arange(start, stop, dtype=np.int64)
+        def draw(start: int, stop: int) -> np.ndarray:
+            return np.arange(start, stop, dtype=np.int64)
+    else:
+        total = DEFAULT_SAMPLE_SIZE if sample_size is None else int(sample_size)
+        if total < 1:
+            raise BellkitError("sample size must be positive")
+        if total > SAMPLE_MAX_SIZE:
+            raise CapExceededError(
+                f"sample size capped at {SAMPLE_MAX_SIZE}, got {total}"
+            )
+        rng = np.random.default_rng(seed)
 
-        zero, hist, one_pos = _reduce_batches(batches(), length, jobs)
-        report = ClassificationReport(
-            n_sites=n_sites,
-            mode="exhaustive",
-            total=total,
-            histogram=tuple(int(x) for x in hist),
-            full_term=int(hist[length]),
-            trivial_classes=int(np.count_nonzero(one_pos)),
-            zero_counts=tuple(int(x) for x in zero),
-        )
-        _check_exhaustive(report)
-        return report
+        def draw(start: int, stop: int) -> np.ndarray:
+            return rng.integers(0, 1 << length, size=stop - start, dtype=np.int64)
 
-    size = DEFAULT_SAMPLE_SIZE if sample_size is None else int(sample_size)
-    if size < 1:
-        raise BellkitError("sample size must be positive")
-    rng = np.random.default_rng(seed)
-
-    def sample_batches() -> Iterator[np.ndarray]:
-        remaining = size
-        while remaining > 0:
-            m = min(batch_size, remaining)
-            yield rng.integers(0, 1 << length, size=m, dtype=np.int64)
-            remaining -= m
-
-    zero, hist, one_pos = _reduce_batches(sample_batches(), length, jobs)
+    batches = (draw(start, min(start + batch_size, total))
+               for start in range(0, total, batch_size))
+    zero, hist, one_pos = _reduce_batches(batches, length, jobs)
     full = int(hist[length])
-    p = full / size
-    return ClassificationReport(
+    p = full / total
+    report = ClassificationReport(
         n_sites=n_sites,
-        mode="sample",
-        total=size,
+        mode="exhaustive" if exhaustive else "sample",
+        total=total,
         histogram=tuple(int(x) for x in hist),
         full_term=full,
-        trivial_classes=None,
+        trivial_classes=int(np.count_nonzero(one_pos)) if exhaustive else None,
         zero_counts=tuple(int(x) for x in zero),
-        seed=seed,
-        full_term_stderr=math.sqrt(p * (1 - p) / size),
+        seed=None if exhaustive else seed,
+        full_term_stderr=None if exhaustive else math.sqrt(p * (1 - p) / total),
     )
+    if exhaustive:
+        _check_exhaustive(report)
+    return report
 
 
 def _check_exhaustive(report: ClassificationReport) -> None:
@@ -197,8 +186,6 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
 
     Independent of k: C(2^N, 2^(N-1)) / 2^(2^N).
     """
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
     check_sites("zero probability", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= k < length:
@@ -217,8 +204,6 @@ def binomial_identity_sides(n_sites: int) -> tuple[int, int]:
     Left: sum_k C(2^(N-1), 2k) C(2k, k) 2^(2^(N-1) - 2k) with k running
     while 2k <= 2^(N-1). Right: C(2^N, 2^(N-1)).
     """
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
     check_sites("binomial identity", n_sites, IDENTITY_MAX_SITES)
     half = 1 << (n_sites - 1)
     lhs = sum(
@@ -264,9 +249,10 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
         raise BellkitError("the construction applies from 3 sites upward")
     if k not in (0, 1):
         raise BellkitError("the repeated observable digit must be 0 or 1")
+    pairs = max_b0_pairs(n_sites)
     half = 1 << (n_sites - 1)
     members: list[BellPolynomial] = []
-    for u, v in max_b0_pairs(n_sites):
+    for u, v in pairs:
         poly = bell_poly(UVIndex(n_sites, u, v))
         coeffs = poly.coeffs
         if coeffs[0] != half - 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BellkitError, CapExceededError
+from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 
 
@@ -75,7 +75,7 @@ def build(n_sites: int) -> HadamardMatrix:
     """Dense matrix of order 2^n_sites via the block-doubling recursion."""
     if n_sites < 0:
         raise BellkitError("site count must be nonnegative")
-    check_sites("dense construction", n_sites, DENSE_MAX_SITES)
+    check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
     h = np.array([[1]], dtype=np.int8)
     for _ in range(n_sites):
         h = np.block([[h, h], [h, -h]])
@@ -84,12 +84,9 @@ def build(n_sites: int) -> HadamardMatrix:
 
 def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    order = a.order * b.order
-    if order > (1 << DENSE_MAX_SITES):
-        raise CapExceededError(
-            f"product order {order} exceeds the dense cap 2^{DENSE_MAX_SITES}"
-        )
-    return HadamardMatrix(order, np.kron(a.entries, b.entries).astype(np.int8))
+    check_sites("Kronecker product", a.n_sites + b.n_sites, DENSE_MAX_SITES, least=0)
+    return HadamardMatrix(a.order * b.order,
+                          np.kron(a.entries, b.entries).astype(np.int8))
 
 
 def apply(h: HadamardMatrix, c) -> np.ndarray:

@@ -111,8 +111,6 @@ def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
 
 def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
     check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
     length = 1 << n_sites
     if not 0 <= code < (1 << length):
@@ -179,8 +177,6 @@ def coefficient_batches(
     2^32 rows and must be requested explicitly with ``stream=True``.
     The checks run when the first batch is requested.
     """
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
     check_sites("enumeration", n_sites, STREAM_MAX_SITES)
     if n_sites > MATERIALIZE_MAX_SITES and not stream:
         raise BellkitError(

@@ -146,8 +146,7 @@ def singlet_expectation(setup: SingletSetup, i: int, j: int) -> float:
 def expectation_table(setup: SingletSetup | None = None,
                       phi: float = 0.0) -> np.ndarray:
     """3x3 table of product expectations, second apparatus tilted by phi."""
-    if not math.isfinite(phi):
-        raise BellkitError(f"phi must be finite, got {phi}")
+    phi = _reduce_angle(phi)
     setup = setup or SingletSetup()
     return np.array(
         [[-math.cos(setup.thetas[i] - setup.etas[j] - phi) for j in range(3)]
@@ -157,4 +156,15 @@ def expectation_table(setup: SingletSetup | None = None,
 
 def tilt_identity(phi: float) -> float:
     """cos(pi/3 + phi) + cos(pi + phi) + cos(5*pi/3 + phi); zero for all phi."""
+    phi = _reduce_angle(phi)
     return sum(math.cos(angle + phi) for angle in TILT_ANGLES)
+
+
+def _reduce_angle(phi: float) -> float:
+    """phi modulo 2 pi, sign kept; exact, and the identity for |phi| < 2 pi.
+
+    Adding a small angle to a huge phi would round the small one away.
+    """
+    if not math.isfinite(phi):
+        raise BellkitError(f"phi must be finite, got {phi}")
+    return math.fmod(phi, math.tau)

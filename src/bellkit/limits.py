@@ -5,7 +5,7 @@ Every check runs before anything of the requested size is allocated.
 """
 from __future__ import annotations
 
-from .errors import CapExceededError
+from .errors import BellkitError, CapExceededError
 
 # dense 2^13 x 2^13 int8 matrix is ~64 MiB
 DENSE_MAX_SITES = 13
@@ -13,6 +13,8 @@ DENSE_MAX_SITES = 13
 MATERIALIZE_MAX_SITES = 4
 # streaming enumeration / classification: 2^32 sign vectors
 STREAM_MAX_SITES = 5
+# classify --sample: the five-site family size, several minutes of counting
+SAMPLE_MAX_SIZE = 1 << 32
 # any single record of 2^N coefficients (sign vector, summand, family
 # member, LHV input): 2^14 entries; the LHV contraction is 14 * 2^14 additions
 RECORD_MAX_SITES = 14
@@ -23,8 +25,15 @@ ORBIT_MAX_SITES = 5
 IDENTITY_MAX_SITES = 13
 
 
-def check_sites(what: str, n_sites: int, max_sites: int) -> None:
-    """Raise CapExceededError when n_sites exceeds max_sites."""
+def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> None:
+    """Raise unless least <= n_sites <= max_sites.
+
+    The one site-range check: every function that takes a site count
+    calls it first, before any work sized by 2^n_sites. Too few sites is
+    a BellkitError, too many a CapExceededError.
+    """
+    if n_sites < least:
+        raise BellkitError(f"site count must be at least {least}")
     if n_sites > max_sites:
         raise CapExceededError(
             f"{what} capped at {max_sites} sites, got {n_sites}"

@@ -117,8 +117,6 @@ class UVIndex:
     v: int
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise BellkitError("site count must be at least 1")
         check_sites("family construction", self.n_sites, RECORD_MAX_SITES)
         limit = 1 << (1 << (self.n_sites - 1))
         if not (0 <= self.u < limit and 0 <= self.v < limit):
@@ -133,8 +131,6 @@ class UVIndex:
 
 def summand_poly(n_sites: int, k: int) -> BellPolynomial:
     """The k-th summand polynomial: even, +-1 coefficients, degree 2^N - 2."""
-    if n_sites < 1:
-        raise BellkitError("site count must be at least 1")
     check_sites("summand construction", n_sites, RECORD_MAX_SITES)
     if not 0 <= k < (1 << (n_sites - 1)):
         raise BellkitError(

@@ -9,6 +9,7 @@ import pytest
 from bellkit import analysis, inequality as ineq, lhv
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
+from bellkit.limits import SAMPLE_MAX_SIZE
 from conftest import formula_matrix, read_golden
 
 
@@ -109,6 +110,16 @@ class TestClassifyValidation:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             analysis.classify(6)
+        # checked before 1 << n_sites, which overflows at this size
+        with pytest.raises(CapExceededError, match="capped at 5 sites"):
+            analysis.classify(10**20)
+
+    def test_sample_cap(self):
+        # checked before the first draw, so this returns at once
+        with pytest.raises(CapExceededError, match="sample size capped at 4294967296"):
+            analysis.classify(3, sample_size=10**20)
+        with pytest.raises(CapExceededError):
+            analysis.classify(3, sample_size=SAMPLE_MAX_SIZE + 1)
 
     def test_conflicting_modes(self):
         with pytest.raises(BellkitError):
@@ -248,6 +259,14 @@ class TestMaxB0Family:
             analysis.max_b0_family(2, 0)
         with pytest.raises(BellkitError):
             analysis.max_b0_family(3, 2)
+
+    def test_site_range_checked_before_any_shift(self):
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            analysis.max_b0_pairs(0)
+        with pytest.raises(CapExceededError, match="capped at 14 sites"):
+            analysis.max_b0_pairs(10**20)
+        with pytest.raises(CapExceededError, match="capped at 14 sites"):
+            analysis.max_b0_family(10**20, 0)
 
 
 class TestFullTermBoundLink:

@@ -392,6 +392,7 @@ class TestSingletCommand:
         payload = json.loads(out.stdout, parse_constant=reject)["payload"]
         assert payload["phi"] == float(phi)
         assert all(math.isfinite(x) for row in payload["table"] for x in row)
+        assert abs(payload["mean"]) < 1e-12
 
     @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -486,6 +487,11 @@ class TestSiteCaps:
          "family construction capped at 14 sites, got 40"),
         (("identity", "--n", "40"), "binomial identity capped at 13 sites, got 40"),
         (("identity", "--n", "14"), "binomial identity capped at 13 sites, got 14"),
+        # too large to shift by: the check must come before any 1 << n
+        (("classify", "--n", "9" * 20),
+         f"classification capped at 5 sites, got {'9' * 20}"),
+        (("construct", "max-b0", "--n", "9" * 20, "--k", "0"),
+         f"family construction capped at 14 sites, got {'9' * 20}"),
     ])
     def test_checked_before_allocation(self, args, message):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -511,6 +517,90 @@ class TestSiteCaps:
         assert sum(coeffs) == (1 - 2 * (u & 1)) << 13
         assert sum(coeffs[0::2]) - sum(coeffs[1::2]) == (1 - 2 * ((u ^ v) & 1)) << 13
         assert coeffs[0] == poly.constant_coeff(poly.UVIndex(14, u, v))
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every leaf subcommand under parser."""
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+LEAVES = dict(_leaves(cli.build_parser()))
+# a small valid invocation of every leaf subcommand, with each of its
+# required options
+BASELINES = {
+    ("hadamard",): ["--n", "3"],
+    ("gen",): ["--n", "3", "--c", "0"],
+    ("enum",): ["--n", "3"],
+    ("poly", "buv"): ["--n", "3", "--u", "0", "--v", "0"],
+    ("poly", "s"): ["--n", "3", "--k", "0"],
+    ("poly", "bowtie"): ["--a", "1,1", "--b", "1,1"],
+    ("poly", "eval"): ["--coeffs", "1,1,1,-1", "--z", "2"],
+    ("verify",): ["--coeffs", "1,1,1,-1"],
+    ("singlet",): [],
+    ("classify",): ["--n", "3"],
+    ("construct", "max-b0"): ["--n", "3", "--k", "0"],
+    ("identity",): ["--n", "3"],
+}
+BOUNDARY_CASES = [
+    pytest.param(path, action.option_strings[0], str(value),
+                 id=f"{' '.join(path)} {action.option_strings[0]}={value}")
+    for path, leaf in LEAVES.items()
+    for action in leaf._actions
+    if action.option_strings and action.type in (int, cli._jobs)
+    for value in (-1, 0, 10**20)
+]
+
+
+class TestBoundarySweep:
+    """Every integer option of every subcommand at -1, 0 and 10^20, in-process."""
+
+    def test_every_leaf_has_a_baseline_with_its_required_options(self):
+        assert set(LEAVES) == set(BASELINES)
+        for path, leaf in LEAVES.items():
+            for action in leaf._actions:
+                if action.required and action.option_strings:
+                    assert action.option_strings[0] in BASELINES[path], path
+
+    @pytest.mark.parametrize("path", sorted(BASELINES), ids=" ".join)
+    def test_baseline_runs(self, path, capsys):
+        assert cli.main([*path, *BASELINES[path]]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("path, option, value", BOUNDARY_CASES)
+    def test_exit_code_and_output(self, path, option, value, capsys):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        argv = [*path, *BASELINES[path]]
+        if option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_USAGE), err
+        if code == cli.EXIT_OK:
+            assert err == ""
+        elif code == cli.EXIT_INVALID:
+            assert out == ""
+            assert err.count("\n") == 1
+            record = json.loads(err)
+            assert record["command"] == path[0]
+            assert set(record) == {"schema_version", "command", "error"}
+        else:
+            assert "usage:" in err
+        if LEAVES[path].get_default("format") == "json":
+            for line in out.splitlines():
+                json.loads(line, parse_constant=reject)
 
 
 class TestUsageErrors:

@@ -131,7 +131,8 @@ class TestKronecker:
 
     def test_result_cap(self):
         h = hadamard.build(7)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="Kronecker product capped at 13 sites, got 14"):
             hadamard.kronecker(h, h)
 
 

@@ -266,11 +266,16 @@ class TestSinglet:
         with pytest.raises(BellkitError, match="finite"):
             lhv.expectation_table(phi=phi)
 
-    @given(st.floats(-10, 10, allow_nan=False))
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+    def test_identity_rejects_non_finite_tilt(self, phi):
+        with pytest.raises(BellkitError, match="finite"):
+            lhv.tilt_identity(phi)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_tilt_identity(self, phi):
         assert abs(lhv.tilt_identity(phi)) < 1e-12
 
-    @given(st.floats(-10, 10, allow_nan=False))
+    @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_tilted_table_keeps_zero_mean(self, phi):
         table = lhv.expectation_table(phi=phi)
         assert abs(table.mean()) < 1e-12

@@ -108,6 +108,11 @@ class TestColumnPoly:
         with pytest.raises(BellkitError):
             poly.column_poly(2, 4)
 
+    def test_site_range(self):
+        # the site check runs before 1 << n_sites, which fails for n < 0
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            poly.column_poly(-1, 0)
+
 
 N1_TABLE = {(0, 0): "1", (0, 1): "z", (1, 0): "-1", (1, 1): "-z"}
 
