@@ -195,6 +195,7 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
 
 def zero_probability_asymptotic(n_sites: int) -> float:
     """Large-N estimate 1/sqrt(2^(N-1) pi) of the zero probability."""
+    check_sites("zero probability", n_sites, RECORD_MAX_SITES)
     return 1.0 / math.sqrt((1 << (n_sites - 1)) * math.pi)
 
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, hadamard, inequality, kernels, lhv, polynomial
+from . import analysis, inequality, kernels, lhv, polynomial
 from .errors import BellkitError
+from .limits import DENSE_MAX_SITES, check_sites
 
 SCHEMA_VERSION = 1
 
@@ -35,25 +36,27 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # let coefficient lists with a leading minus ("-2,-2,-2,2") and
-        # negative rationals ("-1/2") pass as option values
-        self._negative_number_matcher = re.compile(r"^-\d[-\d,/]*$")
+        # no option name starts with a digit, so "-2,-2,-2,2", "-1/2",
+        # "-2.5" and "-.5" are option values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _record(command: str, body: dict, part: str = "payload") -> str:
+    """One JSON record line, without its newline: a payload or an error."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                       part: body}, ensure_ascii=False)
+
+
 def _emit(command: str, payload: dict) -> None:
-    record = {"schema_version": SCHEMA_VERSION, "command": command,
-              "payload": payload}
-    print(json.dumps(record, ensure_ascii=False))
+    print(_record(command, payload))
 
 
 def _emit_error(command: str, message: str) -> None:
-    record = {"schema_version": SCHEMA_VERSION, "command": command,
-              "error": {"message": message}}
-    print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
+    print(_record(command, {"message": message}, "error"), file=sys.stderr)
 
 
 def _parse_int(text: str) -> int:
@@ -108,18 +111,37 @@ def _vector_payload(code: int | None, v: inequality.CoefficientVector) -> dict:
 
 # -- subcommand handlers ------------------------------------------------------
 
+# cells a ``hadamard`` batch renders at once
+_GRID_BATCH_CELLS = 1 << 16
+# per format: the +1 and -1 cells, the cell separator, the row starts
+# (first row, later rows) and the row end
+_GRID_TEXT = {
+    "ascii": ("+", "-", "", ["", ""], "\n"),
+    "pbm": ("1", "0", " ", ["", ""], "\n"),
+    "json": ("1", "-1", ", ", ["[", ", ["], "]"),
+}
+
+
 def _cmd_hadamard(args) -> int:
-    matrix = hadamard.build(args.n)
-    if args.format == "ascii":
-        print(hadamard.ascii_grid(matrix))
-    elif args.format == "pbm":
-        sys.stdout.write(hadamard.pbm(matrix))
-    else:
-        _emit("hadamard", {
-            "n": args.n,
-            "order": matrix.order,
-            "entries": matrix.entries.tolist(),
-        })
+    """Write the sign matrix a batch of rows at a time, from popcount(j AND k) parity."""
+    check_sites("dense construction", args.n, DENSE_MAX_SITES, least=0)
+    order = 1 << args.n
+    plus, minus, sep, starts, end = _GRID_TEXT[args.format]
+    cells = kernels.token_table([plus + sep, plus, minus + sep, minus])
+    starts = kernels.token_table(starts)
+    head, tail = _record("hadamard", {"n": args.n, "order": order,
+                                      "entries": []}).split("[]")
+    head, tail = {"ascii": ("", ""), "pbm": (f"P1\n{order} {order}\n", ""),
+                  "json": (head + "[", "]" + tail + "\n")}[args.format]
+    k = np.arange(order)
+    step = max(1, _GRID_BATCH_CELLS // order)
+    sys.stdout.write(head)
+    for start in range(0, order, step):
+        j = np.arange(start, min(start + step, order))[:, None]
+        index = 2 * (np.bitwise_count(j & k) & 1) + (k == order - 1)
+        sys.stdout.write(kernels.join_rows([kernels.lookup(starts, j > 0),
+                                            kernels.lookup(cells, index), end]))
+    sys.stdout.write(tail)
     return EXIT_OK
 
 

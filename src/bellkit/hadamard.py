@@ -73,8 +73,6 @@ class HadamardMatrix:
 
 def build(n_sites: int) -> HadamardMatrix:
     """Dense matrix of order 2^n_sites via the block-doubling recursion."""
-    if n_sites < 0:
-        raise BellkitError("site count must be nonnegative")
     check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
     h = np.array([[1]], dtype=np.int8)
     for _ in range(n_sites):
@@ -104,15 +102,3 @@ def apply(h: HadamardMatrix, c) -> np.ndarray:
         raise BellkitError("sign vector entries must be +1 or -1")
     return kernels.wht_vector(vec)
 
-
-def ascii_grid(h: HadamardMatrix) -> str:
-    """Rows of '+'/'-' characters, one per matrix row."""
-    plus_minus = np.where(h.entries > 0, "+", "-")
-    return "\n".join("".join(row) for row in plus_minus)
-
-
-def pbm(h: HadamardMatrix) -> str:
-    """Portable bitmap (P1) rendering; +1 maps to black (1)."""
-    header = f"P1\n{h.order} {h.order}\n"
-    bits = np.where(h.entries > 0, "1", "0")
-    return header + "\n".join(" ".join(row) for row in bits) + "\n"

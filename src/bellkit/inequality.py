@@ -220,24 +220,12 @@ def _setting_labels(n_sites: int) -> tuple[str, ...]:
                  for k in range(1 << n_sites))
 
 
-def _term(c: int, label: str, first: bool) -> str:
-    """One nonzero term: " + 2E(1,1)" or " − E(1,2)".
-
-    The first term of a line drops the separator and keeps only a minus
-    sign; no magnitude is written for +-1.
-    """
-    if first:
-        sign = "" if c > 0 else MINUS
-    else:
-        sign = " + " if c > 0 else f" {MINUS} "
-    return sign + ("" if abs(c) == 1 else str(abs(c))) + label
-
-
 def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
     """Render with 1-based observable digits, e.g. |E(1,1) - E(1,2)| <= 2."""
     v = _as_vector(v)
     terms = [(c, label) for c, label in zip(v.coeffs, _setting_labels(v.n_sites)) if c]
-    text = "".join(_term(c, label, i == 0) for i, (c, label) in enumerate(terms))
+    text = "".join(polynomial.term(c, label, i == 0, " + ", f" {MINUS} ")
+                   for i, (c, label) in enumerate(terms))
     return f"|{text}| {LEQ} {bound(v)}"
 
 
@@ -245,11 +233,12 @@ def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
 def _term_table(n_sites: int) -> np.ndarray:
     """``kernels.token_table`` of every term c E(k) of n sites, |c| <= 2^n.
 
-    Row (k * (2^(n+1) + 1) + c + 2^n) * 2 + first is ``_term(c, E(k),
-    first)``, and the empty token for c = 0.
+    Row (k * (2^(n+1) + 1) + c + 2^n) * 2 + first is the term c E(k) of
+    ``to_traditional``, and the empty token for c = 0.
     """
     v = 1 << n_sites
-    return kernels.token_table([_term(c, label, first) if c else ""
+    return kernels.token_table([polynomial.term(c, label, first, " + ", f" {MINUS} ")
+                                if c else ""
                                 for label in _setting_labels(n_sites)
                                 for c in range(-v, v + 1) for first in (False, True)])
 

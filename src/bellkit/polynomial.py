@@ -89,23 +89,24 @@ class BellPolynomial:
         return render(self.coeffs)
 
 
+def term(c: int, label: str, first: bool, plus: str = "+", minus: str = "-") -> str:
+    """One nonzero term of a sum, "+2z^3" or, with other signs, " − E(1,2)".
+
+    A first term keeps only a stripped minus; the magnitude 1 is written
+    only for the constant term, whose label is empty.
+    """
+    if first:
+        sign = minus.strip() if c < 0 else ""
+    else:
+        sign = plus if c > 0 else minus
+    return sign + ("" if abs(c) == 1 and label else str(abs(c))) + label
+
+
 def render(coeffs) -> str:
     """Ascending-power text form: explicit signs, bare z for power 1."""
-    parts: list[str] = []
-    for power, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        magnitude = abs(c)
-        if power == 0:
-            body = str(magnitude)
-        else:
-            head = "" if magnitude == 1 else str(magnitude)
-            body = f"{head}z" if power == 1 else f"{head}z^{power}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts) if parts else "0"
+    terms = [(c, "" if power == 0 else "z" if power == 1 else f"z^{power}")
+             for power, c in enumerate(coeffs) if c]
+    return "".join(term(c, label, i == 0) for i, (c, label) in enumerate(terms)) or "0"
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,16 @@ class TestZeroProbability:
             expected = analysis.zero_probability(n) * report.total
             assert all(c == expected for c in report.zero_counts)
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "site count must be at least 1"),
+        (15, "zero probability capped at 14 sites, got 15"),
+        (1100, "zero probability capped at 14 sites, got 1100"),
+    ])
+    def test_asymptotic_checks_sites_like_exact(self, n, message):
+        for function in (analysis.zero_probability, analysis.zero_probability_asymptotic):
+            with pytest.raises(BellkitError, match=message):
+                function(n)
+
     def test_asymptotic_ratio_monotone_toward_one(self):
         ratios = [
             float(analysis.zero_probability(n))

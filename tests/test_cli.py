@@ -7,11 +7,12 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from bellkit import analysis, cli, inequality, kernels
+from bellkit import analysis, cli, hadamard, inequality, kernels
 from bellkit import polynomial as poly
 from conftest import GOLDEN, read_golden, traditional_text
 
@@ -49,6 +50,84 @@ class TestHadamardCommand:
         error = json.loads(out.stderr)
         assert error["command"] == "hadamard"
         assert "capped" in error["error"]["message"]
+
+    def test_negative_site_count(self, capsys):
+        assert cli.main(["hadamard", "--n", "-1"]) == cli.EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "site count must be at least 0"
+
+    def test_ascii_grid(self, capsys):
+        assert cli.main(["hadamard", "--n", "1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "++\n+-\n"
+
+    def test_pbm_shape(self, capsys):
+        for n in (0, 1, 3):
+            assert cli.main(["hadamard", "--n", str(n), "--format", "pbm"]) == cli.EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            order = 1 << n
+            assert lines[:2] == ["P1", f"{order} {order}"]
+            assert [len(row.split()) for row in lines[2:]] == [order] * order
+            assert all(set(row.split()) <= {"0", "1"} for row in lines[2:])
+
+    @pytest.mark.parametrize("batch_cells", [1, 5, 1 << 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+    def test_formats_match_scalar_entries(self, n, batch_cells, capsys, monkeypatch):
+        # batches of one row and of a few rows cross row starts in every format
+        monkeypatch.setattr(cli, "_GRID_BATCH_CELLS", batch_cells)
+        order = 1 << n
+        rows = [[hadamard.entry(j, k) for k in range(order)] for j in range(order)]
+        want = {
+            "ascii": "".join("".join("+" if e > 0 else "-" for e in row) + "\n"
+                             for row in rows),
+            "pbm": f"P1\n{order} {order}\n" + "".join(
+                " ".join("1" if e > 0 else "0" for e in row) + "\n" for row in rows),
+            "json": json.dumps({"schema_version": 1, "command": "hadamard",
+                                "payload": {"n": n, "order": order,
+                                            "entries": hadamard.build(n).entries.tolist()}})
+                    + "\n",
+        }
+        for fmt, text in want.items():
+            assert cli.main(["hadamard", "--n", str(n), "--format", fmt]) == cli.EXIT_OK
+            assert capsys.readouterr().out == text, fmt
+
+
+class TestHadamardOutput:
+    """Streamed ``hadamard`` output against digests of the dense renderers' output."""
+
+    DIGESTS = json.loads(read_golden("hadamard_stdout_sha256.json"))
+
+    @pytest.mark.parametrize("command", [c for c in DIGESTS if int(c.split()[2]) <= 12])
+    def test_digest(self, command, capsys):
+        assert cli.main(command.split()) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm", "json"])
+    def test_dense_cap_in_bounded_memory(self, fmt):
+        # the dense renderers needed 479-1,057 MiB of memory at 13 sites and
+        # ran out of it under this limit
+        command = f"hadamard --n 13 --format {fmt}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen(BASE + command.split(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env,
+                                preexec_fn=lambda: _limit_memory(512 << 20))
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                digest.update(chunk)
+            stderr = proc.stderr.read()
+            proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert (proc.returncode, stderr) == (0, b"")
+        assert digest.hexdigest() == self.DIGESTS[command]
 
 
 class TestGenCommand:
@@ -258,6 +337,19 @@ class TestBrokenPipe:
         head, code, stderr = enum_head(["--n", "5", "--stream", *args], lines)
         assert head.count(b"\n") == lines
         assert (code, stderr) == (0, b"")
+
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm", "json"])
+    def test_hadamard(self, fmt):
+        # like `| head -c 100`: the reader leaves inside the first batch
+        proc = subprocess.Popen(BASE + ["hadamard", "--n", "13", "--format", fmt],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stderr) == (0, b"")
 
 
 class TestPolyCommand:
@@ -469,10 +561,10 @@ class TestIdentityCommand:
         assert out.stdout.strip() == "6 == 6: true"
 
 
-def _limit_memory():
+def _limit_memory(limit=1 << 30):
     # a command that allocates 2^N entries before its cap check then fails
     # fast instead of taking all of the host's memory
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestSiteCaps:
@@ -601,6 +693,34 @@ class TestBoundarySweep:
         if LEAVES[path].get_default("format") == "json":
             for line in out.splitlines():
                 json.loads(line, parse_constant=reject)
+
+
+class TestNegativeValues:
+    """A token that starts with a minus and a digit is an option value."""
+
+    def test_negative_decimal(self, capsys):
+        assert cli.main(["singlet", "--phi", "-2.5"]) == cli.EXIT_OK
+        spaced = capsys.readouterr()
+        assert cli.main(["singlet", "--phi=-2.5"]) == cli.EXIT_OK
+        assert capsys.readouterr() == spaced
+        assert json.loads(spaced.out)["payload"]["phi"] == -2.5
+
+    @pytest.mark.parametrize("z", ["-0.5", "-1/2", "-.5"])
+    def test_negative_rational(self, z, capsys):
+        argv = ["poly", "eval", "--coeffs", "1,1", "--z", z, "--format", "text"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == "1/2\n"
+
+    def test_negative_coefficient_list(self, capsys):
+        assert cli.main(["verify", "--coeffs", "-2,-2,-2,2"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["coeffs"], payload["max_lhv"]) == ([-2, -2, -2, 2], 4)
+
+    def test_option_name_is_not_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["poly", "eval", "--coeffs", "1,1", "--z", "-x"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -103,7 +103,7 @@ class TestBuild:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             hadamard.build(14)
-        with pytest.raises(BellkitError):
+        with pytest.raises(BellkitError, match="site count must be at least 0"):
             hadamard.build(-1)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -175,13 +175,3 @@ class TestApply:
             for row, want in zip(signs, expected):
                 assert (hadamard.apply(h, row) == want).all()
 
-
-class TestRenderings:
-    def test_ascii_grid(self):
-        assert hadamard.ascii_grid(hadamard.build(1)) == "++\n+-"
-
-    def test_pbm_shape(self):
-        text = hadamard.pbm(hadamard.build(1))
-        assert text.splitlines()[0] == "P1"
-        assert text.splitlines()[1] == "2 2"
-        assert text.splitlines()[2:] == ["1 1", "1 0"]

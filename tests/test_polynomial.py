@@ -465,9 +465,33 @@ class TestSignCombinationSum:
         assert all(c == 0 for c in total[1:])
 
 
+def render_oracle(coeffs):
+    """``render`` spelled out: sign, magnitude unless 1 off the constant, power."""
+    text = ""
+    for power, c in enumerate(coeffs):
+        if c:
+            sign = "-" if c < 0 else "+" if text else ""
+            magnitude = "" if abs(c) == 1 and power else str(abs(c))
+            variable = {0: "", 1: "z"}.get(power, f"z^{power}")
+            text += sign + magnitude + variable
+    return text or "0"
+
+
 class TestRendering:
     def test_zero(self):
         assert poly.render((0, 0)) == "0"
+
+    def test_term_rule(self):
+        assert poly.term(1, "", True) == "1"
+        assert poly.term(-1, "", True) == "-1"
+        assert poly.term(-1, "z", False) == "-z"
+        assert poly.term(12, "z^3", False) == "+12z^3"
+        assert poly.term(-2, "E(1)", True, " + ", " − ") == "−2E(1)"
+        assert poly.term(1, "E(1,2)", False, " + ", " − ") == " + E(1,2)"
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
+    def test_matches_oracle(self, coeffs):
+        assert poly.render(coeffs) == render_oracle(coeffs)
 
     def test_leading_negative_constant(self):
         assert poly.render((-1, 1, 1, 1)) == "-1+z+z^2+z^3"
