@@ -31,7 +31,7 @@ from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
                      SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
-from .polynomial import BellPolynomial, UVIndex, bell_poly
+from .polynomial import BellPolynomial
 
 DEFAULT_SAMPLE_SIZE = 10_000_000
 
@@ -220,18 +220,62 @@ def verify_binomial_identity(n_sites: int) -> bool:
     return lhs == rhs
 
 
+# coefficients a ``max_b0_batches`` batch holds at once, as for ``hadamard``
+_B0_BATCH_CELLS = 1 << 16
+
+
 def max_b0_pairs(n_sites: int) -> list[tuple[int, int]]:
     """(u, v) index pairs of the max-b0 members, in construction order.
 
     v has a single set bit; u is zero or a copy of that bit (bit 0 of u
-    must stay zero).
+    must stay zero). Pair p is ``max_b0_pair(p)``.
     """
     check_sites("family construction", n_sites, RECORD_MAX_SITES)
-    pairs = []
-    for bit in range(1 << (n_sites - 1)):
-        v = 1 << bit
-        pairs.extend((u, v) for u in ((0,) if bit == 0 else (0, v)))
-    return pairs
+    return [max_b0_pair(p) for p in range((1 << n_sites) - 1)]
+
+
+def max_b0_pair(p: int) -> tuple[int, int]:
+    """Pair p of ``max_b0_pairs``: v = 2^((p + 1) // 2), u = v for even p > 0, else 0."""
+    v = 1 << ((p + 1) // 2)
+    return (v if p and p % 2 == 0 else 0), v
+
+
+def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first pair index, int64 rows) of ``max_b0_family``, in ``max_b0_pairs`` order.
+
+    For v = 2^i, W(0) = 2^(N-1) e_0 and W(v) = W(0) - 2 H[i] in the
+    interleave of ``polynomial.bell_poly``, with H[i] Sylvester row i of
+    order 2^(N-1), the parity of popcount(i AND j). So the member has
+    even coefficients 2^(N-1) e_0 - H[i] and odd coefficients H[i] for
+    u = 0, -H[i] for u = v; k = 1 reverses each row. A batch holds at
+    most ``_B0_BATCH_CELLS`` coefficients, and every batch meets the
+    family's self-checks before it is yielded.
+    """
+    if n_sites < 3:
+        raise BellkitError("the construction applies from 3 sites upward")
+    if k not in (0, 1):
+        raise BellkitError("the repeated observable digit must be 0 or 1")
+    check_sites("family construction", n_sites, RECORD_MAX_SITES)
+    half = 1 << (n_sites - 1)
+    total = 2 * half - 1
+    j = np.arange(half)
+    step = max(1, _B0_BATCH_CELLS >> n_sites)
+    count = 0
+    for start in range(0, total, step):
+        p = np.arange(start, min(start + step, total))[:, None]
+        h = np.where(np.bitwise_count((p + 1) // 2 & j) & 1, -1, 1)
+        rows = np.empty((len(p), 2 * half), dtype=np.int64)
+        rows[:, 0::2] = -h
+        rows[:, 0] += half
+        rows[:, 1::2] = np.where((p % 2 == 0) & (p > 0), -h, h)
+        if np.any(rows[:, 0] != half - 1):
+            raise BellkitError("construction lost the maximal coefficient")
+        if not np.all(rows & 1):
+            raise BellkitError("construction produced an even coefficient")
+        count += len(rows)
+        yield start, rows[:, ::-1] if k else rows
+    if count != total:
+        raise BellkitError("unexpected family size")
 
 
 def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
@@ -244,26 +288,8 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     or a copy of that bit (see ``max_b0_pairs``), so there are exactly
     2^N - 1 of them, all full-term with odd coefficients. For k = 1 the
     observable enumeration is reversed, which reverses every coefficient
-    vector.
+    vector. The rows come from the closed form of ``max_b0_batches``.
     """
-    if n_sites < 3:
-        raise BellkitError("the construction applies from 3 sites upward")
-    if k not in (0, 1):
-        raise BellkitError("the repeated observable digit must be 0 or 1")
-    pairs = max_b0_pairs(n_sites)
-    half = 1 << (n_sites - 1)
-    members: list[BellPolynomial] = []
-    for u, v in pairs:
-        poly = bell_poly(UVIndex(n_sites, u, v))
-        coeffs = poly.coeffs
-        if coeffs[0] != half - 1:
-            raise BellkitError("construction lost the maximal coefficient")
-        if any(c % 2 == 0 for c in coeffs):
-            raise BellkitError("construction produced an even coefficient")
-        members.append(poly)
-    if len(members) != (1 << n_sites) - 1:
-        raise BellkitError("unexpected family size")
-    if k == 1:
-        members = [BellPolynomial._trusted(p.n_sites, p.coeffs[::-1])
-                   for p in members]
-    return members
+    # row by row: the lists of a whole batch at once would raise peak memory
+    return [BellPolynomial._trusted(n_sites, tuple(row.tolist()))
+            for _, rows in max_b0_batches(n_sites, k) for row in rows]

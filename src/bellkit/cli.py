@@ -166,6 +166,13 @@ def _number_tokens(n: int, suffix: str = "") -> np.ndarray:
     return kernels.token_table([f"{v}{suffix}" for v in range(-(1 << n), (1 << n) + 1)])
 
 
+def _coeff_tokens(n: int, block: np.ndarray) -> list[np.ndarray]:
+    """The entries of every row, in [-2^n, 2^n], comma-separated: two byte matrices."""
+    shift = 1 << n
+    return [kernels.lookup(_number_tokens(n, ", "), block[:, :-1] + shift),
+            kernels.lookup(_number_tokens(n), block[:, -1:] + shift)]
+
+
 def _enum_text(n: int, start: int, block: np.ndarray, fmt: str) -> str:
     """The ``enum`` lines of the rows of codes start, start + 1, ..., as one text.
 
@@ -179,8 +186,7 @@ def _enum_text(n: int, start: int, block: np.ndarray, fmt: str) -> str:
     if fmt == "traditional":
         return kernels.join_rows(["|", inequality._traditional_terms(block),
                                   f"| {inequality.LEQ} ", bound, "\n"])
-    coeffs = [kernels.lookup(_number_tokens(n, ", "), block[:, :-1] + shift),
-              kernels.lookup(numbers, block[:, -1:] + shift)]
+    coeffs = _coeff_tokens(n, block)
     if fmt == "shorthand":
         return kernels.join_rows(["(", *coeffs, ")\n"])
     codes = kernels.decimal_digits(np.arange(start, start + len(block)))
@@ -328,20 +334,41 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_terms(n: int) -> np.ndarray:
+    """``kernels.token_table`` of the term c z^p, c = -1, +1, at row 2p + (c > 0).
+
+    Power 0 is the first term: every member shown is full-term.
+    """
+    return kernels.token_table([polynomial.term(c, polynomial.power_label(p), p == 0)
+                                for p in range(1 << n) for c in (-1, 1)])
+
+
 def _cmd_construct(args) -> int:
-    members = analysis.max_b0_family(args.n, args.k)
-    for (u, v), poly in zip(analysis.max_b0_pairs(args.n), members):
+    """Render each batch of members as one text and write it at once.
+
+    Every coefficient is +-1 but b_0 = 2^(N-1) - 1, the last one for
+    k = 1, so that term is one string and the others come from
+    ``_sign_terms``. u and v = 2^i (up to 2,466 digits) are per-batch
+    strings; the lines equal those of ``_emit`` and ``str``.
+    """
+    n, k = args.n, args.k
+    for start, rows in analysis.max_b0_batches(n, k):
+        length = rows.shape[1]
+        b0 = polynomial.term(length // 2 - 1, polynomial.power_label(k * (length - 1)),
+                             k == 0)
+        index = 2 * np.arange(length) + (rows > 0)
+        terms = kernels.lookup(_sign_terms(n), index[:, 1:] if k == 0 else index[:, :-1])
+        poly = [b0, terms] if k == 0 else [terms, b0]
         if args.format == "text":
-            print(str(poly))
-        else:
-            _emit("construct", {
-                "n": args.n,
-                "k": args.k,
-                "u": u,
-                "v": v,
-                "coeffs": list(poly.coeffs),
-                "poly": str(poly),
-            })
+            sys.stdout.write(kernels.join_rows([*poly, "\n"]))
+            continue
+        pairs = map(analysis.max_b0_pair, range(start, start + len(rows)))
+        uv = kernels.token_table([f'{u}, "v": {v}' for u, v in pairs])
+        sys.stdout.write(kernels.join_rows([
+            f'{{"schema_version": {SCHEMA_VERSION}, "command": "construct", "payload": '
+            f'{{"n": {n}, "k": {k}, "u": ', uv, ', "coeffs": [', *_coeff_tokens(n, rows),
+            '], "poly": "', *poly, '"}}\n']))
     return EXIT_OK
 
 

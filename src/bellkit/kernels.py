@@ -185,4 +185,4 @@ def join_rows(pieces: list) -> str:
     rows = max(len(p) for p in pieces)
     matrix = np.concatenate([np.broadcast_to(p, (rows, p.shape[1])) for p in pieces],
                             axis=1)
-    return matrix[matrix != 0].tobytes().decode()
+    return matrix.tobytes().translate(None, b"\0").decode()

@@ -12,9 +12,11 @@ prod_i A_i(k_i) equals (prod_i A_i(0)) * (-1)^(s.k), so every strategy
 value is +-(H_N b)[s]: the local full-correlation vectors are the rows
 of +-H_N (Werner & Wolf, PRA 64, 032112 (2001)). ``max_lhv`` contracts
 one site at a time, keeping the outcome pairs (1, 1) and (1, -1); the
-other two only flip the sign. It shares no code with the transforms
-that generate inequalities (``kernels.sylvester_rows`` and the
-butterfly), so they cross-check each other.
+other two only flip the sign. Each step is two whole-list passes over
+Python ints, exact for any coefficients and, at up to a few hundred
+entries, cheaper than numpy's per-call overhead. It shares no code with
+the transforms that generate inequalities (``kernels.sylvester_rows``
+and the butterfly), so they cross-check each other.
 
 The singlet fixtures model two spin measurements at angles theta_i and
 eta_j on a rotationally invariant entangled pair, whose product
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -102,23 +105,25 @@ def strategy_value(v: CoefficientVector | Sequence[int],
 def max_lhv(v: CoefficientVector | Sequence[int], *, jobs: int = 1) -> int:
     """Largest |strategy value| over every deterministic strategy.
 
-    Costs N * 2^N additions; ``jobs`` is accepted and has no effect.
+    Costs N * 2^N additions of Python ints; ``jobs`` is accepted and has
+    no effect.
     """
     v = _as_vector(v)
     check_sites("strategy search", v.n_sites, RECORD_MAX_SITES)
-    # every strategy value and partial sum is bounded by sum |b_k|, so this
-    # keeps the int64 contraction exact
+    # a contract limit, not an arithmetic one: the contraction is exact for
+    # any integers, but ``verify`` has always refused larger inputs
     if sum(abs(c) for c in v.coeffs) >= 1 << 63:
         raise BellkitError(
             "strategy search needs the sum of |coefficients| below 2^63"
         )
-    # written out, not via kernels.wht_rows: it must stay independent of the generator
-    t = np.array(v.coeffs, dtype=np.int64)[None]
+    # written out, not via kernels.wht_rows: it must stay independent of the
+    # generator. Each step contracts the last site: pairs (2j, 2j + 1) give
+    # their sum at j and their difference at j + 2^(N-1).
+    t = list(v.coeffs)
     for _ in range(v.n_sites):
-        half = t.shape[1] // 2
-        lo, hi = t[:, :half], t[:, half:]
-        t = np.concatenate((lo + hi, lo - hi))
-    return int(np.abs(t).max())
+        lo, hi = t[0::2], t[1::2]
+        t = [*map(add, lo, hi), *map(sub, lo, hi)]
+    return max(map(abs, t))
 
 
 def is_tight(v: CoefficientVector | Sequence[int], claimed_bound: int) -> bool:

@@ -102,10 +102,14 @@ def term(c: int, label: str, first: bool, plus: str = "+", minus: str = "-") -> 
     return sign + ("" if abs(c) == 1 and label else str(abs(c))) + label
 
 
+def power_label(power: int) -> str:
+    """The label of z^power in a term: empty for 1, bare z for power 1."""
+    return "" if power == 0 else "z" if power == 1 else f"z^{power}"
+
+
 def render(coeffs) -> str:
     """Ascending-power text form: explicit signs, bare z for power 1."""
-    terms = [(c, "" if power == 0 else "z" if power == 1 else f"z^{power}")
-             for power, c in enumerate(coeffs) if c]
+    terms = [(c, power_label(power)) for power, c in enumerate(coeffs) if c]
     return "".join(term(c, label, i == 0) for i, (c, label) in enumerate(terms)) or "0"
 
 

@@ -270,6 +270,42 @@ class TestMaxB0Family:
         with pytest.raises(BellkitError):
             analysis.max_b0_family(3, 2)
 
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_closed_form_matches_bell_poly(self, n):
+        # every member against the interleave of bell_poly, pair by pair
+        want = [poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
+                for u, v in analysis.max_b0_pairs(n)]
+        assert [p.coeffs for p in analysis.max_b0_family(n, 0)] == want
+        assert [p.coeffs for p in analysis.max_b0_family(n, 1)] == [c[::-1] for c in want]
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_pairs_match_the_bit_loop(self, n):
+        want = []
+        for bit in range(1 << (n - 1)):
+            v = 1 << bit
+            want.extend((u, v) for u in ((0,) if bit == 0 else (0, v)))
+        assert analysis.max_b0_pairs(n) == want
+
+    @pytest.mark.parametrize("n", [3, 10, 13])
+    def test_batches_bounded_by_cells(self, n):
+        starts, sizes = [], []
+        for start, rows in analysis.max_b0_batches(n, 0):
+            assert rows.dtype == np.int64 and rows.shape[1] == 1 << n
+            assert rows.size <= 1 << 16
+            starts.append(start)
+            sizes.append(len(rows))
+        assert starts == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == (1 << n) - 1
+
+    def test_batch_size_does_not_change_the_family(self, monkeypatch):
+        want = analysis.max_b0_family(6, 1)
+        for cells in (1, 200, 1 << 20):
+            monkeypatch.setattr(analysis, "_B0_BATCH_CELLS", cells)
+            assert analysis.max_b0_family(6, 1) == want
+
+    def test_coefficients_are_python_ints(self):
+        assert all(type(c) is int for c in analysis.max_b0_family(5, 0)[3].coeffs)
+
     def test_site_range_checked_before_any_shift(self):
         with pytest.raises(BellkitError, match="site count must be at least 1"):
             analysis.max_b0_pairs(0)

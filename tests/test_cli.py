@@ -548,6 +548,52 @@ class TestConstructCommand:
     def test_too_few_sites(self):
         run_cli("construct", "max-b0", "--n", "2", "--k", "0", expect_code=2)
 
+    @pytest.mark.parametrize("batch_cells", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_formats_match_records(self, n, batch_cells, capsys, monkeypatch):
+        # batches of one row and of a few rows, against one record at a time
+        monkeypatch.setattr(analysis, "_B0_BATCH_CELLS", batch_cells)
+        for k in (0, 1):
+            members = analysis.max_b0_family(n, k)
+            text = "".join(f"{p}\n" for p in members)
+            lines = "".join(
+                json.dumps({"schema_version": 1, "command": "construct",
+                            "payload": {"n": n, "k": k, "u": u, "v": v,
+                                        "coeffs": list(p.coeffs), "poly": str(p)}}) + "\n"
+                for (u, v), p in zip(analysis.max_b0_pairs(n), members))
+            for fmt, want in (("text", text), ("json", lines)):
+                argv = ["construct", "max-b0", "--n", str(n), "--k", str(k), "--format", fmt]
+                assert cli.main(argv) == cli.EXIT_OK
+                assert capsys.readouterr().out == want, (fmt, k)
+
+
+class _Sha256Writer:
+    """A stdout that keeps only the digest of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestConstructOutput:
+    """Streamed ``construct`` output against digests of the record-at-a-time output."""
+
+    DIGESTS = json.loads(read_golden("construct_stdout_sha256.json"))
+
+    @pytest.mark.parametrize("command", DIGESTS)
+    def test_digest(self, command, monkeypatch, capsys):
+        out = _Sha256Writer()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(command.split()) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.digest.hexdigest() == self.DIGESTS[command]
+
 
 class TestIdentityCommand:
     def test_exact(self):
@@ -609,6 +655,35 @@ class TestSiteCaps:
         assert sum(coeffs) == (1 - 2 * (u & 1)) << 13
         assert sum(coeffs[0::2]) - sum(coeffs[1::2]) == (1 - 2 * ((u ^ v) & 1)) << 13
         assert coeffs[0] == poly.constant_coeff(poly.UVIndex(14, u, v))
+
+
+class TestNearCapInChildProcess:
+    """Accepted values at a cap: bounded memory and time, and a clean closed pipe."""
+
+    @pytest.mark.parametrize("command", [
+        "construct max-b0 --n 14 --k 0",
+        "hadamard --n 13 --format json",
+    ])
+    def test_closed_pipe(self, command):
+        # run one at a time; the reader takes 100 bytes and closes the pipe
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen(BASE + command.split(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env,
+                                preexec_fn=lambda: _limit_memory(512 << 20))
+        timer = threading.Timer(20, proc.kill)
+        timer.start()
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.stderr.close()
+        assert len(head) == 100
+        assert b"Traceback" not in stderr
+        assert (proc.returncode, stderr) == (0, b"")
 
 
 def _leaves(parser, path=()):
