@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
+from . import kernels, limits
 from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
@@ -97,7 +97,6 @@ def classify(
     sample_size: int | None = None,
     seed: int = 0,
     jobs: int = 1,
-    batch_size: int = 1 << 20,
 ) -> ClassificationReport:
     """Count term statistics over the family.
 
@@ -134,8 +133,9 @@ def classify(
         def draw(start: int, stop: int) -> np.ndarray:
             return rng.integers(0, 1 << length, size=stop - start, dtype=np.int64)
 
-    batches = (draw(start, min(start + batch_size, total))
-               for start in range(0, total, batch_size))
+    step = limits.CENSUS_BATCH_CODES
+    batches = (draw(start, min(start + step, total))
+               for start in range(0, total, step))
     zero, hist, one_pos = _reduce_batches(batches, length, jobs)
     full = int(hist[length])
     p = full / total
@@ -220,36 +220,27 @@ def verify_binomial_identity(n_sites: int) -> bool:
     return lhs == rhs
 
 
-# coefficients a ``max_b0_batches`` batch holds at once, as for ``hadamard``
-_B0_BATCH_CELLS = 1 << 16
-
-
-def max_b0_pairs(n_sites: int) -> list[tuple[int, int]]:
-    """(u, v) index pairs of the max-b0 members, in construction order.
-
-    v has a single set bit; u is zero or a copy of that bit (bit 0 of u
-    must stay zero). Pair p is ``max_b0_pair(p)``.
-    """
-    check_sites("family construction", n_sites, RECORD_MAX_SITES)
-    return [max_b0_pair(p) for p in range((1 << n_sites) - 1)]
-
-
 def max_b0_pair(p: int) -> tuple[int, int]:
-    """Pair p of ``max_b0_pairs``: v = 2^((p + 1) // 2), u = v for even p > 0, else 0."""
+    """(u, v) index pair of max-b0 member p, in construction order.
+
+    v = 2^((p + 1) // 2) has a single set bit; u is zero or, for even
+    p > 0, a copy of that bit (bit 0 of u must stay zero). The N-site
+    family is pairs 0 .. 2^N - 2.
+    """
     v = 1 << ((p + 1) // 2)
     return (v if p and p % 2 == 0 else 0), v
 
 
 def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first pair index, int64 rows) of ``max_b0_family``, in ``max_b0_pairs`` order.
+    """(first pair index, int64 rows) of ``max_b0_family``, in ``max_b0_pair`` order.
 
     For v = 2^i, W(0) = 2^(N-1) e_0 and W(v) = W(0) - 2 H[i] in the
     interleave of ``polynomial.bell_poly``, with H[i] Sylvester row i of
     order 2^(N-1), the parity of popcount(i AND j). So the member has
     even coefficients 2^(N-1) e_0 - H[i] and odd coefficients H[i] for
     u = 0, -H[i] for u = v; k = 1 reverses each row. A batch holds at
-    most ``_B0_BATCH_CELLS`` coefficients, and every batch meets the
-    family's self-checks before it is yielded.
+    most ``limits.OUTPUT_BATCH_CELLS`` coefficients, and every batch
+    meets the family's self-checks before it is yielded.
     """
     if n_sites < 3:
         raise BellkitError("the construction applies from 3 sites upward")
@@ -259,7 +250,7 @@ def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
     half = 1 << (n_sites - 1)
     total = 2 * half - 1
     j = np.arange(half)
-    step = max(1, _B0_BATCH_CELLS >> n_sites)
+    step = max(1, limits.OUTPUT_BATCH_CELLS >> n_sites)
     count = 0
     for start in range(0, total, step):
         p = np.arange(start, min(start + step, total))[:, None]
@@ -285,7 +276,7 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     2^(N-1) - 1 (the value 2^(N-1) itself only occurs in the trivial
     member, which reduces to coefficient 1). They correspond to a parity
     number with a single set bit and a sign number that is either zero
-    or a copy of that bit (see ``max_b0_pairs``), so there are exactly
+    or a copy of that bit (see ``max_b0_pair``), so there are exactly
     2^N - 1 of them, all full-term with odd coefficients. For k = 1 the
     observable enumeration is reversed, which reverses every coefficient
     vector. The rows come from the closed form of ``max_b0_batches``.

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, inequality, kernels, lhv, polynomial
+from . import analysis, inequality, kernels, lhv, limits, polynomial
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 
@@ -97,22 +97,8 @@ def _jobs(text: str) -> int:
     return min(jobs, _default_jobs())
 
 
-def _vector_payload(code: int | None, v: inequality.CoefficientVector) -> dict:
-    payload = {"n": v.n_sites}
-    if code is not None:
-        payload["c"] = code
-    payload.update(
-        coeffs=list(v.coeffs),
-        bound=inequality.bound(v),
-        terms=analysis.term_count(v),
-    )
-    return payload
-
-
 # -- subcommand handlers ------------------------------------------------------
 
-# cells a ``hadamard`` batch renders at once
-_GRID_BATCH_CELLS = 1 << 16
 # per format: the +1 and -1 cells, the cell separator, the row starts
 # (first row, later rows) and the row end
 _GRID_TEXT = {
@@ -134,7 +120,7 @@ def _cmd_hadamard(args) -> int:
     head, tail = {"ascii": ("", ""), "pbm": (f"P1\n{order} {order}\n", ""),
                   "json": (head + "[", "]" + tail + "\n")}[args.format]
     k = np.arange(order)
-    step = max(1, _GRID_BATCH_CELLS // order)
+    step = max(1, limits.OUTPUT_BATCH_CELLS // order)
     sys.stdout.write(head)
     for start in range(0, order, step):
         j = np.arange(start, min(start + step, order))[:, None]
@@ -150,9 +136,10 @@ def _cmd_gen(args) -> int:
     c = inequality.sign_vector_from_code(code, args.n)
     v = inequality.from_sign_vector(c)
     sf = inequality.standard_form(v)
-    payload = _vector_payload(code, v)
-    payload["standard_form"] = list(sf.coeffs)
-    payload["standard_bound"] = inequality.bound(sf)
+    payload = {"n": v.n_sites, "c": code, "coeffs": list(v.coeffs),
+               "bound": inequality.bound(v), "terms": analysis.term_count(v),
+               "standard_form": list(sf.coeffs),
+               "standard_bound": inequality.bound(sf)}
     if args.format == "text":
         print(inequality.to_traditional(sf))
     else:

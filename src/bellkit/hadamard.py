@@ -17,9 +17,10 @@ with the site-1 digit as the most significant bit. The GF(2) product is
 digit-position symmetric, so entries do not depend on that choice, but
 every module that interprets indices digit-wise shares it.
 
-``build`` materializes the dense matrix (int8, capped at N = 13);
-``entry`` computes single entries on demand and ``apply`` runs the
-matrix-free butterfly transform, so neither needs the dense array.
+``build`` materializes the dense matrix (int8, capped at N = 13) and
+``entry`` computes single entries on demand without it. The product
+H @ c for a sign vector c is ``inequality.from_sign_vector``, a
+matrix-free butterfly transform.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 
@@ -85,20 +85,4 @@ def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     check_sites("Kronecker product", a.n_sites + b.n_sites, DENSE_MAX_SITES, least=0)
     return HadamardMatrix(a.order * b.order,
                           np.kron(a.entries, b.entries).astype(np.int8))
-
-
-def apply(h: HadamardMatrix, c) -> np.ndarray:
-    """Product H @ c for a +-1 sign vector c, via the butterfly transform.
-
-    Bit-exact to the dense product but O(n log n) and matrix-free; the
-    HadamardMatrix argument only fixes the expected length.
-    """
-    vec = np.asarray(c, dtype=np.int64)
-    if vec.ndim != 1 or vec.shape[0] != h.order:
-        raise BellkitError(
-            f"vector length {vec.shape} does not match order {h.order}"
-        )
-    if not np.all(np.abs(vec) == 1):
-        raise BellkitError("sign vector entries must be +1 or -1")
-    return kernels.wht_vector(vec)
 

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import hadamard, kernels, polynomial
+from . import hadamard, kernels, limits, polynomial
 from .errors import BellkitError
 from .limits import (MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, RECORD_MAX_SITES,
                      STREAM_MAX_SITES, check_sites)
@@ -163,17 +163,13 @@ def bowtie(a: CoefficientVector | Sequence[int],
     return polynomial.bowtie(CoefficientVector(a.n_sites, a.coeffs), b)
 
 
-def coefficient_batches(
-    n_sites: int,
-    *,
-    stream: bool = False,
-    batch_size: int = 1 << 10,
-) -> Iterator[tuple[int, np.ndarray]]:
+def coefficient_batches(n_sites: int, *,
+                        stream: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first code, int64 rows) for every sign vector, in code order.
 
-    Row i of a batch is the raw coefficient vector of code start + i;
-    a batch holds ``batch_size`` codes, the last one possibly fewer.
-    Materializing is reasonable up to N = 4 (65 536 rows); N = 5 means
+    Row i of a batch is the raw coefficient vector of code start + i; a
+    batch holds ``limits.ENUM_BATCH_ROWS`` codes, the last one possibly
+    fewer. Materializing is reasonable up to N = 4 (65 536 rows); N = 5 means
     2^32 rows and must be requested explicitly with ``stream=True``.
     The checks run when the first batch is requested.
     """
@@ -184,24 +180,20 @@ def coefficient_batches(
         )
 
     total = 1 << (1 << n_sites)
-    for start in range(0, total, batch_size):
-        codes = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+    step = limits.ENUM_BATCH_ROWS
+    for start in range(0, total, step):
+        codes = np.arange(start, min(start + step, total), dtype=np.int64)
         yield start, kernels.sylvester_rows(codes, 1 << n_sites)
 
 
-def enumerate_inequalities(
-    n_sites: int,
-    *,
-    stream: bool = False,
-    batch_size: int = 1 << 10,
-) -> Iterator[tuple[int, CoefficientVector]]:
+def enumerate_inequalities(n_sites: int, *, stream: bool = False
+                           ) -> Iterator[tuple[int, CoefficientVector]]:
     """Yield (code, vector) for every sign vector, in code order.
 
     The records of ``coefficient_batches``, which takes the same
     arguments and makes the same checks.
     """
-    for start, block in coefficient_batches(n_sites, stream=stream,
-                                            batch_size=batch_size):
+    for start, block in coefficient_batches(n_sites, stream=stream):
         for code, row in enumerate(block.tolist(), start):
             yield code, CoefficientVector._trusted(n_sites, tuple(row))
 

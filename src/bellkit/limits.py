@@ -1,7 +1,9 @@
-"""Default size caps.
+"""Default size caps and batch sizes.
 
 The caps keep accidental huge requests from exhausting memory or CPU.
 Every check runs before anything of the requested size is allocated.
+The batch sizes bound the memory of every streamed computation; callers
+read them as ``limits.X`` at call time.
 """
 from __future__ import annotations
 
@@ -23,6 +25,14 @@ ORBIT_MAX_SITES = 5
 # binomial identity: C(2^13, 2^12) has 2,466 digits and C(2^14, 2^13) has
 # 4,932, past the interpreter's 4,300-digit limit on int-to-text conversion
 IDENTITY_MAX_SITES = 13
+
+# sign-vector codes per census batch; no count or seeded sample depends on it
+CENSUS_BATCH_CODES = 1 << 20
+# coefficient rows per ``coefficient_batches`` batch; no row depends on it
+ENUM_BATCH_ROWS = 1 << 10
+# entries per ``hadamard`` batch, coefficients per max-b0 batch; no output
+# depends on it
+OUTPUT_BATCH_CELLS = 1 << 16
 
 
 def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> None:

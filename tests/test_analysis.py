@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import analysis, inequality as ineq, lhv
+from bellkit import analysis, inequality as ineq, lhv, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from bellkit.limits import SAMPLE_MAX_SIZE
@@ -69,9 +69,10 @@ class TestClassifyExhaustive:
     def test_single_site_has_no_full_term(self):
         assert analysis.classify(1).full_term == 0
 
-    def test_jobs_do_not_change_result(self):
+    def test_jobs_do_not_change_result(self, monkeypatch):
         a = analysis.classify(3)
-        b = analysis.classify(3, jobs=4, batch_size=16)
+        monkeypatch.setattr(limits, "CENSUS_BATCH_CODES", 16)
+        b = analysis.classify(3, jobs=4)
         assert a == b
 
 
@@ -85,10 +86,10 @@ class TestClassifySampled:
         assert a.seed == 1
         assert 0 < a.full_term_stderr < 0.01
 
-    def test_jobs_do_not_change_sample(self):
+    def test_jobs_do_not_change_sample(self, monkeypatch):
         a = analysis.classify(5, sample_size=30000, seed=2, jobs=1)
-        b = analysis.classify(5, sample_size=30000, seed=2, jobs=4,
-                              batch_size=4096)
+        monkeypatch.setattr(limits, "CENSUS_BATCH_CODES", 4096)
+        b = analysis.classify(5, sample_size=30000, seed=2, jobs=4)
         assert a == b
 
     def test_seed_matters(self):
@@ -104,6 +105,38 @@ class TestClassifySampled:
     def test_sampling_below_five_sites_allowed(self):
         report = analysis.classify(3, sample_size=1000, seed=0)
         assert report.mode == "sample" and report.total == 1000
+
+
+# README's exhaustive five-site census (`classify --n 5 --exhaustive`,
+# 2^32 members): the number of t-term members, keyed by t
+FIVE_SITE_HISTOGRAM = {
+    1: 64, 4: 9920, 8: 79360, 10: 1666560, 13: 17776640, 16: 16086272,
+    18: 3809280, 20: 144435200, 21: 213319680, 22: 475080704, 23: 284426240,
+    24: 666624000, 25: 106659840, 26: 170655744, 28: 13332480, 32: 2181005312,
+}
+
+
+class TestSamplerExactReference:
+    """The seeded five-site sampler against the exact census, bin by bin."""
+
+    def test_reference_meets_the_census_identities(self):
+        # the identities of analysis._check_exhaustive at N = 5
+        h = FIVE_SITE_HISTOGRAM
+        assert sum(h.values()) == 1 << 32
+        assert sum((32 - t) * count for t, count in h.items()) == 32 * math.comb(32, 16)
+        assert h[1] == 64
+
+    def test_sample_within_five_sigma_of_every_bin(self):
+        draws = 1 << 20
+        report = analysis.classify(5, sample_size=draws, seed=1)
+        assert sum(report.histogram) == draws
+        for t, got in enumerate(report.histogram):
+            p = Fraction(FIVE_SITE_HISTOGRAM.get(t, 0), 1 << 32)
+            if p == 0:
+                assert got == 0, t
+                continue
+            sigma = math.sqrt(draws * p * (1 - p))
+            assert abs(got - draws * p) <= 5 * sigma, (t, got, float(draws * p))
 
 
 class TestClassifyValidation:
@@ -273,8 +306,8 @@ class TestMaxB0Family:
     @pytest.mark.parametrize("n", range(3, 12))
     def test_closed_form_matches_bell_poly(self, n):
         # every member against the interleave of bell_poly, pair by pair
-        want = [poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
-                for u, v in analysis.max_b0_pairs(n)]
+        pairs = [analysis.max_b0_pair(p) for p in range(2**n - 1)]
+        want = [poly.bell_poly(poly.UVIndex(n, u, v)).coeffs for u, v in pairs]
         assert [p.coeffs for p in analysis.max_b0_family(n, 0)] == want
         assert [p.coeffs for p in analysis.max_b0_family(n, 1)] == [c[::-1] for c in want]
 
@@ -284,7 +317,7 @@ class TestMaxB0Family:
         for bit in range(1 << (n - 1)):
             v = 1 << bit
             want.extend((u, v) for u in ((0,) if bit == 0 else (0, v)))
-        assert analysis.max_b0_pairs(n) == want
+        assert [analysis.max_b0_pair(p) for p in range(2**n - 1)] == want
 
     @pytest.mark.parametrize("n", [3, 10, 13])
     def test_batches_bounded_by_cells(self, n):
@@ -300,17 +333,17 @@ class TestMaxB0Family:
     def test_batch_size_does_not_change_the_family(self, monkeypatch):
         want = analysis.max_b0_family(6, 1)
         for cells in (1, 200, 1 << 20):
-            monkeypatch.setattr(analysis, "_B0_BATCH_CELLS", cells)
+            monkeypatch.setattr(limits, "OUTPUT_BATCH_CELLS", cells)
             assert analysis.max_b0_family(6, 1) == want
 
     def test_coefficients_are_python_ints(self):
         assert all(type(c) is int for c in analysis.max_b0_family(5, 0)[3].coeffs)
 
     def test_site_range_checked_before_any_shift(self):
-        with pytest.raises(BellkitError, match="site count must be at least 1"):
-            analysis.max_b0_pairs(0)
+        with pytest.raises(BellkitError, match="from 3 sites upward"):
+            analysis.max_b0_family(0, 0)
         with pytest.raises(CapExceededError, match="capped at 14 sites"):
-            analysis.max_b0_pairs(10**20)
+            next(analysis.max_b0_batches(10**20, 0))
         with pytest.raises(CapExceededError, match="capped at 14 sites"):
             analysis.max_b0_family(10**20, 0)
 

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from bellkit import analysis, cli, hadamard, inequality, kernels
+from bellkit import analysis, cli, hadamard, inequality, kernels, limits
 from bellkit import polynomial as poly
 from conftest import GOLDEN, read_golden, traditional_text
 
@@ -74,7 +74,7 @@ class TestHadamardCommand:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
     def test_formats_match_scalar_entries(self, n, batch_cells, capsys, monkeypatch):
         # batches of one row and of a few rows cross row starts in every format
-        monkeypatch.setattr(cli, "_GRID_BATCH_CELLS", batch_cells)
+        monkeypatch.setattr(limits, "OUTPUT_BATCH_CELLS", batch_cells)
         order = 1 << n
         rows = [[hadamard.entry(j, k) for k in range(order)] for j in range(order)]
         want = {
@@ -552,7 +552,8 @@ class TestConstructCommand:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_formats_match_records(self, n, batch_cells, capsys, monkeypatch):
         # batches of one row and of a few rows, against one record at a time
-        monkeypatch.setattr(analysis, "_B0_BATCH_CELLS", batch_cells)
+        monkeypatch.setattr(limits, "OUTPUT_BATCH_CELLS", batch_cells)
+        pairs = [analysis.max_b0_pair(p) for p in range(2**n - 1)]
         for k in (0, 1):
             members = analysis.max_b0_family(n, k)
             text = "".join(f"{p}\n" for p in members)
@@ -560,7 +561,7 @@ class TestConstructCommand:
                 json.dumps({"schema_version": 1, "command": "construct",
                             "payload": {"n": n, "k": k, "u": u, "v": v,
                                         "coeffs": list(p.coeffs), "poly": str(p)}}) + "\n"
-                for (u, v), p in zip(analysis.max_b0_pairs(n), members))
+                for (u, v), p in zip(pairs, members))
             for fmt, want in (("text", text), ("json", lines)):
                 argv = ["construct", "max-b0", "--n", str(n), "--k", str(k), "--format", fmt]
                 assert cli.main(argv) == cli.EXIT_OK
@@ -657,35 +658,6 @@ class TestSiteCaps:
         assert coeffs[0] == poly.constant_coeff(poly.UVIndex(14, u, v))
 
 
-class TestNearCapInChildProcess:
-    """Accepted values at a cap: bounded memory and time, and a clean closed pipe."""
-
-    @pytest.mark.parametrize("command", [
-        "construct max-b0 --n 14 --k 0",
-        "hadamard --n 13 --format json",
-    ])
-    def test_closed_pipe(self, command):
-        # run one at a time; the reader takes 100 bytes and closes the pipe
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.Popen(BASE + command.split(), stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env,
-                                preexec_fn=lambda: _limit_memory(512 << 20))
-        timer = threading.Timer(20, proc.kill)
-        timer.start()
-        try:
-            head = proc.stdout.read(100)
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            proc.wait()
-        finally:
-            timer.cancel()
-            proc.kill()
-            proc.stderr.close()
-        assert len(head) == 100
-        assert b"Traceback" not in stderr
-        assert (proc.returncode, stderr) == (0, b"")
-
-
 def _leaves(parser, path=()):
     """(command path, parser) of every leaf subcommand under parser."""
     subparsers = [a for a in parser._actions
@@ -714,6 +686,19 @@ BASELINES = {
     ("construct", "max-b0"): ["--n", "3", "--k", "0"],
     ("identity",): ["--n", "3"],
 }
+# an accepted value at the cap of every leaf that takes a site count
+_ONES = ",".join(["1"] * (1 << 13))
+NEAR_CAP = {
+    ("hadamard",): ["--n", "13", "--format", "json"],
+    ("gen",): ["--n", "14", "--c", "0"],
+    ("enum",): ["--n", "5", "--stream"],
+    ("poly", "buv"): ["--n", "14", "--u", "0", "--v", "0"],
+    ("poly", "s"): ["--n", "14", "--k", "0"],
+    ("poly", "bowtie"): ["--n", "13", "--a", _ONES, "--b", _ONES],
+    ("classify",): ["--n", "5", "--sample", "1024"],
+    ("construct", "max-b0"): ["--n", "14", "--k", "0"],
+    ("identity",): ["--n", "13"],
+}
 BOUNDARY_CASES = [
     pytest.param(path, action.option_strings[0], str(value),
                  id=f"{' '.join(path)} {action.option_strings[0]}={value}")
@@ -722,6 +707,38 @@ BOUNDARY_CASES = [
     if action.option_strings and action.type in (int, cli._jobs)
     for value in (-1, 0, 10**20)
 ]
+
+
+class TestNearCapInChildProcess:
+    """Accepted values at a cap: bounded memory and time, and a clean closed pipe."""
+
+    def test_every_leaf_with_a_site_count_has_a_case(self):
+        assert set(NEAR_CAP) == {path for path, leaf in LEAVES.items()
+                                 if "--n" in leaf._option_string_actions}
+
+    @pytest.mark.parametrize("path", NEAR_CAP, ids=lambda path: " ".join(
+        arg if len(arg) < 100 else "..." for arg in (*path, *NEAR_CAP[path])))
+    def test_closed_pipe(self, path):
+        # run one at a time; the reader takes 100 bytes and closes the pipe
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        argv = BASE + [*path, *NEAR_CAP[path]]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env,
+                                preexec_fn=lambda: _limit_memory(512 << 20))
+        timer = threading.Timer(20, proc.kill)
+        timer.start()
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.stderr.close()
+        assert len(head) == 100
+        assert b"Traceback" not in stderr
+        assert (proc.returncode, stderr) == (0, b"")
 
 
 class TestBoundarySweep:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellkit import analysis, inequality as ineq
+from bellkit import analysis, inequality as ineq, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from conftest import (
@@ -243,15 +243,16 @@ class TestEnumerate:
         vectors = {v.coeffs for _, v in ineq.enumerate_inequalities(3)}
         assert len(vectors) == 256
 
-    def test_batch_size_invisible(self):
+    def test_batch_size_invisible(self, monkeypatch):
+        want = {n: [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(n)]
+                for n in (2, 3)}
         for n, batch_size in ((2, 3), (3, 32)):
-            a = [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(n)]
-            b = [(c, v.coeffs) for c, v in
-                 ineq.enumerate_inequalities(n, batch_size=batch_size)]
-            assert a == b
+            monkeypatch.setattr(limits, "ENUM_BATCH_ROWS", batch_size)
+            assert [(c, v.coeffs) for c, v in ineq.enumerate_inequalities(n)] == want[n]
         blocks = {}
         for batch_size in (1, 1000, 8192):
-            batches = list(ineq.coefficient_batches(4, batch_size=batch_size))
+            monkeypatch.setattr(limits, "ENUM_BATCH_ROWS", batch_size)
+            batches = list(ineq.coefficient_batches(4))
             assert [start for start, _ in batches] == list(
                 range(0, 1 << 16, batch_size))
             blocks[batch_size] = np.concatenate([block for _, block in batches])
@@ -262,9 +263,9 @@ class TestEnumerate:
         assert np.array_equal(blocks[1], signs @ formula_matrix(4))
 
     @pytest.mark.parametrize("batch_size", [1000, 1024, 8192])
-    def test_first_five_site_batches(self, batch_size):
-        batches = list(itertools.islice(
-            ineq.coefficient_batches(5, stream=True, batch_size=batch_size), 3))
+    def test_first_five_site_batches(self, batch_size, monkeypatch):
+        monkeypatch.setattr(limits, "ENUM_BATCH_ROWS", batch_size)
+        batches = list(itertools.islice(ineq.coefficient_batches(5, stream=True), 3))
         assert [start for start, _ in batches] == [0, batch_size, 2 * batch_size]
         codes = np.arange(3 * batch_size)
         signs = 1 - 2 * ((codes[:, None] >> np.arange(32)) & 1)
