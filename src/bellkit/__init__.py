@@ -6,6 +6,22 @@ polynomials indexed by sign/parity number pairs, verifies every member
 against a brute-force search over local deterministic strategies, and
 counts structural statistics of the family. See the README for the CLI.
 """
+import os
+import sys
+
+# Every matrix product here is on int64, so numpy never calls BLAS, and an
+# OpenBLAS pool would only add a busy-waiting thread and its buffers per
+# extra core. Load numpy with one BLAS thread, then restore the environment
+# for the caller and its children. A caller who set a count, or imported
+# numpy first, keeps what they chose.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .analysis import (
     ClassificationReport,
     binomial_identity_sides,

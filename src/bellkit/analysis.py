@@ -136,7 +136,8 @@ def classify(
     step = limits.CENSUS_BATCH_CODES
     batches = (draw(start, min(start + step, total))
                for start in range(0, total, step))
-    zero, hist, one_pos = _reduce_batches(batches, length, jobs)
+    # never more workers than batches: one batch runs on the calling thread
+    zero, hist, one_pos = _reduce_batches(batches, length, min(jobs, -(-total // step)))
     full = int(hist[length])
     p = full / total
     report = ClassificationReport(

@@ -336,8 +336,9 @@ def _cmd_construct(args) -> int:
 
     Every coefficient is +-1 but b_0 = 2^(N-1) - 1, the last one for
     k = 1, so that term is one string and the others come from
-    ``_sign_terms``. u and v = 2^i (up to 2,466 digits) are per-batch
-    strings; the lines equal those of ``_emit`` and ``str``.
+    ``_sign_terms``. u is 0 or v, and v = 2^i (up to 2,466 digits) serves
+    two pairs, so each distinct number becomes decimal text once per
+    batch; the lines equal those of ``_emit`` and ``str``.
     """
     n, k = args.n, args.k
     for start, rows in analysis.max_b0_batches(n, k):
@@ -351,7 +352,8 @@ def _cmd_construct(args) -> int:
             sys.stdout.write(kernels.join_rows([*poly, "\n"]))
             continue
         pairs = map(analysis.max_b0_pair, range(start, start + len(rows)))
-        uv = kernels.token_table([f'{u}, "v": {v}' for u, v in pairs])
+        decimal = functools.cache(str)
+        uv = kernels.token_table([f'{decimal(u)}, "v": {decimal(v)}' for u, v in pairs])
         sys.stdout.write(kernels.join_rows([
             f'{{"schema_version": {SCHEMA_VERSION}, "command": "construct", "payload": '
             f'{{"n": {n}, "k": {k}, "u": ', uv, ', "coeffs": [', *_coeff_tokens(n, rows),

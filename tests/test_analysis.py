@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import threading
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bellkit import analysis, inequality as ineq, lhv, limits
+from bellkit import analysis, inequality as ineq, kernels, lhv, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from bellkit.limits import SAMPLE_MAX_SIZE
@@ -74,6 +75,21 @@ class TestClassifyExhaustive:
         monkeypatch.setattr(limits, "CENSUS_BATCH_CODES", 16)
         b = analysis.classify(3, jobs=4)
         assert a == b
+
+    @pytest.mark.parametrize("n, sample_size", [(4, None), (5, limits.CENSUS_BATCH_CODES)])
+    def test_one_batch_runs_on_the_calling_thread(self, monkeypatch, n, sample_size):
+        # classify --n 4 --exhaustive and a sample of CENSUS_BATCH_CODES draws
+        # are one batch each, so --jobs 2 starts no worker thread
+        expected = analysis.classify(n, sample_size=sample_size, seed=1, jobs=1)
+        classify_batch, threads = kernels.classify_batch, []
+
+        def spy(codes, length):
+            threads.append(threading.get_ident())
+            return classify_batch(codes, length)
+
+        monkeypatch.setattr(kernels, "classify_batch", spy)
+        assert analysis.classify(n, sample_size=sample_size, seed=1, jobs=2) == expected
+        assert threads == [threading.get_ident()]
 
 
 class TestClassifySampled:

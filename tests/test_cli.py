@@ -109,9 +109,8 @@ class TestHadamardOutput:
         # the dense renderers needed 479-1,057 MiB of memory at 13 sites and
         # ran out of it under this limit
         command = f"hadamard --n 13 --format {fmt}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         proc = subprocess.Popen(BASE + command.split(), stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env,
+                                stderr=subprocess.PIPE,
                                 preexec_fn=lambda: _limit_memory(512 << 20))
         timer = threading.Timer(60, proc.kill)
         timer.start()
@@ -633,9 +632,8 @@ class TestSiteCaps:
          f"family construction capped at 14 sites, got {'9' * 20}"),
     ])
     def test_checked_before_allocation(self, args, message):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         out = subprocess.run(BASE + list(args), capture_output=True, text=True,
-                             env=env, preexec_fn=_limit_memory, timeout=60)
+                             preexec_fn=_limit_memory, timeout=60)
         assert out.returncode == 2, out.stderr
         error = json.loads(out.stderr)
         assert error["command"] == args[0]
@@ -644,11 +642,9 @@ class TestSiteCaps:
     def test_largest_family_member_fits(self):
         # at the record cap: 2^13 summands must fit in 1 GiB and 30 s
         u, v = (1 << 8192) // 3, (1 << 8192) // 5
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         out = subprocess.run(BASE + ["poly", "buv", "--n", "14", "--u", str(u),
                                      "--v", str(v)], capture_output=True,
-                             text=True, env=env, preexec_fn=_limit_memory,
-                             timeout=30)
+                             text=True, preexec_fn=_limit_memory, timeout=30)
         assert out.returncode == 0, out.stderr
         coeffs = json.loads(out.stdout)["payload"]["coeffs"]
         assert len(coeffs) == 1 << 14
@@ -720,10 +716,9 @@ class TestNearCapInChildProcess:
         arg if len(arg) < 100 else "..." for arg in (*path, *NEAR_CAP[path])))
     def test_closed_pipe(self, path):
         # run one at a time; the reader takes 100 bytes and closes the pipe
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         argv = BASE + [*path, *NEAR_CAP[path]]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env,
+                                stderr=subprocess.PIPE,
                                 preexec_fn=lambda: _limit_memory(512 << 20))
         timer = threading.Timer(20, proc.kill)
         timer.start()
