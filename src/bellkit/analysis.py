@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels, limits
+from . import hadamard, kernels, limits
 from .errors import BellkitError, CapExceededError
 from .inequality import CoefficientVector, _as_vector
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
@@ -109,6 +109,8 @@ def classify(
     check_sites("classification", n_sites, STREAM_MAX_SITES)
     if seed < 0:
         raise BellkitError(f"seed must be nonnegative, got {seed}")
+    if jobs < 1:
+        raise BellkitError(f"jobs must be at least 1, got {jobs}")
     length = 1 << n_sites
     if exhaustive is None:
         exhaustive = n_sites <= MATERIALIZE_MAX_SITES and sample_size is None
@@ -255,7 +257,7 @@ def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
     count = 0
     for start in range(0, total, step):
         p = np.arange(start, min(start + step, total))[:, None]
-        h = np.where(np.bitwise_count((p + 1) // 2 & j) & 1, -1, 1)
+        h = np.where(hadamard.parity((p + 1) // 2, j), -1, 1)
         rows = np.empty((len(p), 2 * half), dtype=np.int64)
         rows[:, 0::2] = -h
         rows[:, 0] += half

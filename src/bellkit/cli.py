@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, inequality, kernels, lhv, limits, polynomial
+from . import analysis, hadamard, inequality, kernels, lhv, limits, polynomial
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 
@@ -124,7 +124,7 @@ def _cmd_hadamard(args) -> int:
     sys.stdout.write(head)
     for start in range(0, order, step):
         j = np.arange(start, min(start + step, order))[:, None]
-        index = 2 * (np.bitwise_count(j & k) & 1) + (k == order - 1)
+        index = 2 * hadamard.parity(j, k) + (k == order - 1)
         sys.stdout.write(kernels.join_rows([kernels.lookup(starts, j > 0),
                                             kernels.lookup(cells, index), end]))
     sys.stdout.write(tail)

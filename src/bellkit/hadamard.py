@@ -17,17 +17,19 @@ with the site-1 digit as the most significant bit. The GF(2) product is
 digit-position symmetric, so entries do not depend on that choice, but
 every module that interprets indices digit-wise shares it.
 
-``build`` materializes the dense matrix (int8, capped at N = 13) and
-``entry`` computes single entries on demand without it. The product
-H @ c for a sign vector c is ``inequality.from_sign_vector``, a
-matrix-free butterfly transform.
+Every sign in the package comes from here: ``entry`` for one entry,
+``parity`` for numpy index grids, ``sylvester_masks`` for every row as
+the bitmask of its -1 entries, and ``build`` for the dense int8 matrix
+(capped at N = 13). H @ c is ``inequality.from_sign_vector``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 
@@ -42,6 +44,26 @@ def gf2_dot(j: int, k: int) -> int:
 def entry(j: int, k: int) -> int:
     """Matrix entry (-1)^gf2_dot(j, k), valid for any nonnegative indices."""
     return -1 if gf2_dot(j, k) else 1
+
+
+def parity(j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """gf2_dot over broadcast integer arrays, as uint8: 1 where the entry is -1."""
+    return np.bitwise_count(j & k) & 1
+
+
+@functools.cache
+def sylvester_masks(length: int) -> tuple[int, ...]:
+    """Bitmask r_k of the -1 entries of row k (bit j is gf2_dot(j, k)), every k < length.
+
+    Built by the doubling H_2w = [[H_w, H_w], [H_w, -H_w]], once per length.
+    """
+    rows, w = (0,), 1
+    while w < length:
+        ones = (1 << w) - 1
+        rows = (tuple(r | r << w for r in rows)
+                + tuple(r | (r ^ ones) << w for r in rows))
+        w *= 2
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,12 +94,15 @@ class HadamardMatrix:
 
 
 def build(n_sites: int) -> HadamardMatrix:
-    """Dense matrix of order 2^n_sites via the block-doubling recursion."""
+    """Dense int8 matrix of order 2^n_sites from ``parity``, in bounded row batches."""
     check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
-    h = np.array([[1]], dtype=np.int8)
-    for _ in range(n_sites):
-        h = np.block([[h, h], [h, -h]])
-    return HadamardMatrix(1 << n_sites, h)
+    order = 1 << n_sites
+    h = np.empty((order, order), dtype=np.int8)
+    k = np.arange(order)
+    step = max(1, limits.OUTPUT_BATCH_CELLS // order)
+    for start in range(0, order, step):
+        h[start:start + step] = 1 - 2 * parity(k[start:start + step, None], k).view(np.int8)
+    return HadamardMatrix(order, h)
 
 
 def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
@@ -121,17 +122,23 @@ def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
 def from_sign_vector(c: Sequence[int]) -> CoefficientVector:
     """Coefficients of the inequality selected by the sign vector c.
 
-    Applies the order-matching Sylvester transform; the result has even
-    entries, |entry| <= 2^N and coefficient sum +-2^N.
+    H c: even entries, |entry| <= 2^N and sum +-2^N. With a and b the
+    codes of the halves of c it is [W(a) + W(b), W(a) - W(b)], twice
+    ``polynomial.bell_poly`` of (u, v) = (a, a XOR b), even powers first.
     """
-    vec = np.asarray(c, dtype=np.int64)
-    n = (vec.shape[0] - 1).bit_length()
-    if vec.ndim != 1 or vec.shape[0] < 2 or vec.shape[0] != 1 << n:
+    signs = tuple(c)
+    n = (len(signs) - 1).bit_length()
+    if len(signs) < 2 or len(signs) != 1 << n:
         raise BellkitError("sign vector length must be a power of two >= 2")
-    if not np.all(np.abs(vec) == 1):
+    check_sites("sign vectors", n, RECORD_MAX_SITES)
+    if not all(isinstance(x, numbers.Real) and x in (1, -1) for x in signs):
         raise BellkitError("sign vector entries must be +1 or -1")
-    transformed = kernels.wht_vector(vec)
-    return CoefficientVector._trusted(n, tuple(transformed.tolist()))
+    code = int("".join("1" if x == -1 else "0" for x in reversed(signs)), 2)
+    half = len(signs) // 2
+    a, b = code & ((1 << half) - 1), code >> half
+    member = polynomial.bell_poly(polynomial.UVIndex(n, a, a ^ b)).coeffs
+    even_first = member[0::2] + member[1::2]
+    return CoefficientVector._trusted(n, tuple(2 * x for x in even_first))
 
 
 def bound(v: CoefficientVector | Sequence[int]) -> int:

@@ -6,30 +6,29 @@ Two inner loops dominate the package's runtime:
   time (``enum``),
 * streaming classification statistics over millions of sign vectors.
 
-Neither runs the butterfly. With r_k the bitmask of the -1 entries of
-Sylvester row k (``sylvester_masks``), entry k of the transform of code
-c is 2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
+Both read the row masks r_k of ``hadamard.sylvester_masks``, the module
+every sign comes from: entry k of the transform of code c is
+2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
 Reed-Muller distance identity). ``sylvester_rows`` builds whole rows
 from it; the census needs only its zeros, Hamming distances of exactly
-2^(N-1), so a census batch costs a few bytes per code. The same masks,
-as Python ints of up to 2^13 bits, give every family member in
-``polynomial.bell_poly``. The butterfly, ``wht_rows``, transforms single
-vectors (``wht_vector``) and is the tests' oracle for the rows.
+2^(N-1), so a census batch costs a few bytes per code.
 
 Rows become text without per-row Python: every token of a line comes
 from a small vocabulary, so a batch is a few NUL-padded byte matrices
 (``token_table`` and ``lookup``, ``decimal_digits``) side by side, and
 ``join_rows`` keeps their non-NUL bytes in row-major order.
 
-``lhv_max_range``, the scan over all deterministic strategies, is no
-longer on a production path: ``lhv.max_lhv`` contracts site by site, and
-the tests keep the scan as its O(8^N) oracle.
+The butterfly ``wht_rows``, the sign decoder ``signs_from_codes`` and
+the strategy scan ``lhv_max_range`` are on no production path: ``gen``
+reads its member off ``polynomial.bell_poly`` and ``lhv.max_lhv``
+contracts site by site. They are the tests' oracles, and they stay here
+only because the benchmark harness traces them by name.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+
+from . import hadamard
 
 ACTIVE_BACKEND = "numpy"
 
@@ -59,33 +58,14 @@ def wht_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.cache
-def sylvester_masks(length: int) -> tuple[int, ...]:
-    """Bitmask r_k of the -1 entries of Sylvester row k, for every k < length.
-
-    Bit j of r_k is the parity of popcount(j AND k), the same bit
-    convention as the codes; length is a power of two. Built by the
-    doubling H_2w = [[H_w, H_w], [H_w, -H_w]], once per length on demand.
-    """
-    rows, w = (0,), 1
-    while w < length:
-        ones = (1 << w) - 1
-        rows = (tuple(r | r << w for r in rows)
-                + tuple(r | (r ^ ones) << w for r in rows))
-        w *= 2
-    return rows
-
-
 def sylvester_rows(codes: np.ndarray, length: int) -> np.ndarray:
     """Int64 transform rows of sign-vector codes, one row per code.
 
     Entry k of row c is length - 2 popcount(c XOR r_k), the identity of
-    the module docstring, so the row equals
-    ``wht_rows(signs_from_codes([c], length))``; length is a power of two
-    from 2 to 64.
+    the module docstring; length is a power of two from 2 to 64.
     """
     c = np.asarray(codes).astype(np.uint64)
-    masks = np.array(sylvester_masks(length), dtype=np.uint64)
+    masks = np.array(hadamard.sylvester_masks(length), dtype=np.uint64)
     return length - 2 * np.bitwise_count(c[:, None] ^ masks).astype(np.int64)
 
 
@@ -101,7 +81,7 @@ def classify_batch(codes: np.ndarray, length: int):
     """
     c = np.asarray(codes).astype(np.uint64)
     half = length // 2
-    masks = np.array(sylvester_masks(length), dtype=np.uint64)
+    masks = np.array(hadamard.sylvester_masks(length), dtype=np.uint64)
     zero_counts = np.empty(length, dtype=np.int64)
     zeros = np.zeros(c.size, dtype=np.uint8)
     for k, r in enumerate(masks):
@@ -123,9 +103,7 @@ def lhv_max_range(coeffs: np.ndarray, n_sites: int,
 
     Strategies are pairs of n-bit masks (m0, m1); bit b of m_j set means
     the site reading digit bit b assigns -1 to its observable j. The
-    per-term sign is the popcount parity of (m0 & ~k) | (m1 & k). Kept
-    free of the butterfly-transform code path on purpose: this is the
-    independent check of everything the transform produces.
+    per-term sign is the popcount parity of (m0 & ~k) | (m1 & k).
     """
     length = 1 << n_sites
     mask = length - 1
@@ -138,12 +116,6 @@ def lhv_max_range(coeffs: np.ndarray, n_sites: int,
         values = pm[idx] @ coeffs
         best = max(best, int(np.abs(values).max()))
     return best
-
-
-def wht_vector(values) -> np.ndarray:
-    """Butterfly transform of a single integer vector (returns a new array)."""
-    a = np.array(values, dtype=np.int64).reshape(1, -1)
-    return wht_rows(a)[0]
 
 
 def token_table(texts: list[str]) -> np.ndarray:

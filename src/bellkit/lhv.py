@@ -16,7 +16,7 @@ other two only flip the sign. Each step is two whole-list passes over
 Python ints, exact for any coefficients and, at up to a few hundred
 entries, cheaper than numpy's per-call overhead. It shares no code with
 the transforms that generate inequalities (``kernels.sylvester_rows``
-and the butterfly), so they cross-check each other.
+and ``polynomial.bell_poly``), so they cross-check each other.
 
 The singlet fixtures model two spin measurements at angles theta_i and
 eta_j on a rotationally invariant entangled pair, whose product
@@ -74,6 +74,7 @@ class DeterministicStrategy:
 
     @classmethod
     def decode(cls, n_sites: int, code: int) -> "DeterministicStrategy":
+        check_sites("strategy codes", n_sites, RECORD_MAX_SITES)
         if not 0 <= code < (1 << (2 * n_sites)):
             raise BellkitError(f"strategy code {code} out of range")
         m0 = code & ((1 << n_sites) - 1)
@@ -116,9 +117,9 @@ def max_lhv(v: CoefficientVector | Sequence[int], *, jobs: int = 1) -> int:
         raise BellkitError(
             "strategy search needs the sum of |coefficients| below 2^63"
         )
-    # written out, not via kernels.wht_rows: it must stay independent of the
-    # generator. Each step contracts the last site: pairs (2j, 2j + 1) give
-    # their sum at j and their difference at j + 2^(N-1).
+    # written out, not via the hadamard row masks: it must stay independent of
+    # the generator. Each step contracts the last site: pairs (2j, 2j + 1)
+    # give their sum at j and their difference at j + 2^(N-1).
     t = list(v.coeffs)
     for _ in range(v.n_sites):
         lo, hi = t[0::2], t[1::2]
@@ -170,6 +171,10 @@ def _reduce_angle(phi: float) -> float:
 
     Adding a small angle to a huge phi would round the small one away.
     """
+    try:
+        phi = float(phi)
+    except OverflowError:
+        raise BellkitError("phi is too large for a float") from None
     if not math.isfinite(phi):
         raise BellkitError(f"phi must be finite, got {phi}")
     return math.fmod(phi, math.tau)

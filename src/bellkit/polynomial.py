@@ -32,7 +32,8 @@ are H sigma(1 - v) and the odd ones H sigma v. Writing W(c) for the
     B_(u,v) = interleave(W(u) + W(u XOR v), W(u) - W(u XOR v)) / 2,
 
 even coefficients first; ``bell_poly`` computes exactly this from the
-row masks of ``kernels.sylvester_masks``.
+row masks of ``hadamard.sylvester_masks``. ``gen`` reads the N-site
+transform of a code with halves a and b off B_(a, a XOR b).
 
 ``BellPolynomial`` is also the base of the coefficient-vector records in
 ``inequality``: an inequality is a Bell polynomial with B(1) != 0.
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import hadamard, kernels
+from . import hadamard
 from .errors import BellkitError
 from .limits import RECORD_MAX_SITES, check_sites
 
@@ -174,7 +175,7 @@ def bell_poly(index: UVIndex) -> BellPolynomial:
     half = index.summands
     a, b = index.u, index.u ^ index.v
     coeffs = []
-    for r in kernels.sylvester_masks(half):
+    for r in hadamard.sylvester_masks(half):
         wa = half - 2 * (a ^ r).bit_count()
         wb = half - 2 * (b ^ r).bit_count()
         coeffs += ((wa + wb) // 2, (wa - wb) // 2)

@@ -51,6 +51,23 @@ def formula_matrix(n_sites: int) -> np.ndarray:
     )
 
 
+def butterfly(values: Sequence[int]) -> tuple[int, ...]:
+    """Sylvester transform of one vector by the in-place butterfly.
+
+    Stage h combines the entry pairs whose indices differ in bit log2(h)
+    into their sum and difference: the oracle for
+    ``inequality.from_sign_vector``, which reads H c off a Bell polynomial.
+    """
+    a = list(values)
+    h = 1
+    while h < len(a):
+        for start in range(0, len(a), 2 * h):
+            for i in range(start, start + h):
+                a[i], a[i + h] = a[i] + a[i + h], a[i] - a[i + h]
+        h *= 2
+    return tuple(a)
+
+
 def signs_of_code(code: int, n_sites: int) -> tuple[int, ...]:
     return tuple(1 - 2 * ((code >> j) & 1) for j in range(1 << n_sites))
 

@@ -33,7 +33,7 @@ def warm_kernels():
     First-call costs (imports, a cold file cache) then do not count
     against the runtime budgets.
     """
-    kernels.wht_vector([1, 1, 1, -1])
+    ineq.from_sign_vector([1, 1, 1, -1])
     kernels.classify_batch(np.arange(4, dtype=np.int64), 4)
     kernels.lhv_max_range(np.array([1, 1, 1, -1], np.int64), 2, 0, 2)
     subprocess.run(BASE + ["classify", "--n", "1"], capture_output=True,

@@ -183,6 +183,12 @@ class TestClassifyValidation:
         with pytest.raises(BellkitError, match="seed"):
             analysis.classify(3, seed=-1, **kwargs)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one(self, jobs):
+        # the same floor as the CLI's --jobs; it used to run serially
+        with pytest.raises(BellkitError, match=f"jobs must be at least 1, got {jobs}"):
+            analysis.classify(3, jobs=jobs)
+
 
 def moved(histogram, *moves):
     """Histogram with one member moved from bin a to bin b per (a, b)."""

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -152,6 +153,27 @@ class TestGenCommand:
         error = json.loads(out.stderr)
         assert error["command"] == "gen"
         assert error["error"]["message"] == "site count must be at least 1"
+
+
+class TestGenOutput:
+    """``gen`` output against digests of the butterfly transform's output.
+
+    The code at N sites is random.Random(N).getrandbits(2^N), passed in
+    hex. Fourteen sites in JSON is absent: its code has 4,933 decimal
+    digits, past the interpreter's int-to-text limit, so the record
+    cannot be printed.
+    """
+
+    DIGESTS = json.loads(read_golden("gen_stdout_sha256.json"))
+
+    @pytest.mark.parametrize("command", DIGESTS)
+    def test_digest(self, command, capsys):
+        n = int(command.split()[2])
+        code = random.Random(n).getrandbits(1 << n)
+        assert cli.main([*command.split(), "--c", hex(code)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
 
 
 class TestEnumCommand:

@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellkit import hadamard, inequality
+from bellkit import hadamard, inequality, limits
 from bellkit.errors import BellkitError, CapExceededError
 from conftest import formula_matrix
 
@@ -66,7 +66,24 @@ class TestEntry:
             h.entry(0, -1)
 
 
+class TestParity:
+    def test_matches_gf2_dot(self):
+        j = np.arange(64)
+        got = hadamard.parity(j[:, None], j)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [[hadamard.gf2_dot(a, b) for b in range(64)]
+                                for a in range(64)]
+
+
 class TestBuild:
+    @pytest.mark.parametrize("batch_cells", [1, 100, 1 << 16])
+    def test_batches_match_formula_matrix(self, batch_cells, monkeypatch):
+        # one row per batch, a short last batch, and one batch for the matrix
+        monkeypatch.setattr(limits, "OUTPUT_BATCH_CELLS", batch_cells)
+        h = hadamard.build(5)
+        assert h.entries.dtype == np.int8
+        assert (h.entries == formula_matrix(5)).all()
+
     def test_order_one(self):
         h = hadamard.build(0)
         assert h.order == 1

@@ -13,6 +13,7 @@ from bellkit.errors import BellkitError, CapExceededError
 from conftest import (
     bfs_canonical,
     bfs_orbit,
+    butterfly,
     coefficients_by_expansion,
     default_generators,
     formula_matrix,
@@ -88,10 +89,28 @@ class TestFromSignVector:
     def test_rejects_non_sign_values(self):
         with pytest.raises(BellkitError):
             ineq.from_sign_vector((1, 0, 1, 1))
+        # neither truncated to a sign nor parsed from text
+        for signs in [(1.5, -1), ("1", "-1")]:
+            with pytest.raises(BellkitError, match="entries must be"):
+                ineq.from_sign_vector(signs)
 
     def test_rejects_bad_length(self):
         with pytest.raises(BellkitError):
             ineq.from_sign_vector((1, 1, 1))
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_matches_butterfly(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            signs = rng.choice([-1, 1], size=1 << n).tolist()
+            assert ineq.from_sign_vector(signs).coeffs == butterfly(signs)
+
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_record_cap(self, n):
+        # past the cap the vector is rejected before any transform work
+        with pytest.raises(CapExceededError,
+                           match=f"sign vectors capped at 14 sites, got {n}"):
+            ineq.from_sign_vector([1] * (1 << n))
 
     @pytest.mark.parametrize("n", [-1, 0])
     def test_code_decoding_rejects_site_count_below_one(self, n):

@@ -90,10 +90,12 @@ class TestClassifyBatchOracle:
 
 
 class TestSylvesterMasks:
+    """``hadamard.sylvester_masks``, the row masks every kernel reads."""
+
     @pytest.mark.parametrize("m", range(8))
     def test_bits_match_formula_matrix(self, m):
         order = 1 << m
-        masks = kernels.sylvester_masks(order)
+        masks = hadamard.sylvester_masks(order)
         assert len(masks) == order
         bits = [[(r >> j) & 1 for j in range(order)] for r in masks]
         assert (np.array(bits) == (formula_matrix(m) < 0)).all()
@@ -101,7 +103,7 @@ class TestSylvesterMasks:
     def test_largest_length_matches_entry(self):
         # poly buv --n 14 reads 2^13 rows of 2^13 bits
         order = 1 << 13
-        masks = kernels.sylvester_masks(order)
+        masks = hadamard.sylvester_masks(order)
         assert len(masks) == order
         rng = np.random.default_rng(13)
         for k in [0, 1, order - 1, *rng.integers(0, order, size=16).tolist()]:

@@ -58,6 +58,17 @@ class TestStrategyType:
         with pytest.raises(BellkitError):
             lhv.DeterministicStrategy.decode(1, 16)
 
+    def test_site_count_cap(self):
+        # checked before 1 << (2 * n_sites) is formed
+        with pytest.raises(CapExceededError,
+                           match=f"strategy codes capped at 14 sites, got {10**20}"):
+            lhv.DeterministicStrategy.decode(10**20, 0)
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_site_count_below_one(self, n):
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            lhv.DeterministicStrategy.decode(n, 0)
+
 
 class TestStrategyValue:
     def test_all_plus_gives_coefficient_sum(self):
@@ -265,6 +276,13 @@ class TestSinglet:
     def test_table_rejects_non_finite_tilt(self, phi):
         with pytest.raises(BellkitError, match="finite"):
             lhv.expectation_table(phi=phi)
+
+    @pytest.mark.parametrize("phi", [10**400, -(10**400)], ids=["10^400", "-10^400"])
+    def test_rejects_tilt_past_float_range(self, phi):
+        with pytest.raises(BellkitError, match="phi is too large for a float"):
+            lhv.expectation_table(phi=phi)
+        with pytest.raises(BellkitError, match="phi is too large for a float"):
+            lhv.tilt_identity(phi)
 
     @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
     def test_identity_rejects_non_finite_tilt(self, phi):
