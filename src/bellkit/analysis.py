@@ -15,9 +15,19 @@ checked or reported here, all scale-invariant:
 
 Counting is exhaustive through N = 4 (and optionally N = 5); N = 5
 defaults to a seeded uniform sample with a reported standard error.
+
+The exhaustive census never scans the 2^(2^N) codes. Write an N-site
+code as a | b << 2^(N-1), with a and b codes of N - 1 sites; its
+transform is [W(a) + W(b), W(a) - W(b)] (the paper's recursive
+generation). A relabeling of N - 1 sites applied to a and b together
+permutes and signs both spectra alike, so the term count of the pair is
+unchanged, and the histogram is the sum over the relabeling orbits O of
+(N-1)-site codes of |O| times the census of the 2^(2^(N-1)) partners of
+one representative: 39 partner sums of 65,536 codes at N = 5.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +38,7 @@ import numpy as np
 
 from . import hadamard, kernels, limits
 from .errors import BellkitError, CapExceededError
-from .inequality import CoefficientVector, _as_vector
+from .inequality import CoefficientVector, _as_vector, _relabelings
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
                      SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
 from .polynomial import BellPolynomial
@@ -90,6 +100,92 @@ def _reduce_batches(
     return zero, hist, one_pos
 
 
+def _orbit_generators(n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """3n generators (index map g, sign row sigma) of the n-site relabeling group.
+
+    Read off ``inequality._relabelings``: the adjacent site swaps, the
+    translations k ^ e_i, the sign rows H[e_i] and global negation.
+    """
+    index_maps, sign_rows = _relabelings(n_sites)
+    perms = list(itertools.permutations(range(n_sites)))  # the identity first
+    gens = []
+    for i in range(n_sites - 1):
+        swap = list(range(n_sites))
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        gens.append((index_maps[perms.index(tuple(swap)), 0], sign_rows[0]))
+    for i in range(n_sites):
+        gens.append((index_maps[0, 1 << i], sign_rows[0]))
+        gens.append((index_maps[0, 0], sign_rows[1 << i]))
+    gens.append((index_maps[0, 0], sign_rows[1 << n_sites]))
+    return gens
+
+
+def _relabeling_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest code, size) of every relabeling orbit of n-site sign-vector codes.
+
+    Conjugating by H swaps the translations and the sign rows, so the
+    relabeling group acts on sign vectors c by the same maps as on
+    coefficients, c'(j) = sigma(j) * c(g(j)). Each generator becomes a
+    permutation of all 2^(2^n) codes; min-label propagation with pointer
+    jumping then labels every code by the smallest code of its orbit.
+    """
+    check_sites("relabeling orbits", n_sites, MATERIALIZE_MAX_SITES, least=0)
+    order = 1 << n_sites
+    codes = np.arange(1 << order, dtype=np.int64)
+    images = []
+    for g, sigma in _orbit_generators(n_sites):
+        image = np.full(codes.size, sum(1 << j for j in range(order) if sigma[j] < 0))
+        for j in range(order):
+            image ^= ((codes >> int(g[j])) & 1) << j
+        images.append(image)
+    labels = codes
+    while True:
+        before = labels
+        for image in images:
+            labels = np.minimum(labels, labels[image])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        if np.array_equal(labels, before):
+            break
+    reps, sizes = np.unique(labels, return_counts=True)
+    group_order = math.factorial(n_sites) * order * 2 * order
+    if sizes.sum() != codes.size or any(group_order % int(s) for s in sizes):
+        raise BellkitError("relabeling orbits do not partition the codes")
+    return reps, sizes
+
+
+def _orbit_census(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (zero counts, histogram, one-term positions) of the N-site family.
+
+    The histogram sums |O| times the census of rep_O | b << 2^(N-1) over
+    every (N-1)-site code b, orbit by orbit (see the module docstring).
+    Zeros are not invariant position by position, so they come from
+    N_k(d), the number of (N-1)-site codes at Hamming distance d from
+    row mask r_k: W(a)_k + W(b)_k = 0 at d_b = 2^(N-1) - d_a, and
+    W(a)_k - W(b)_k = 0 at d_b = d_a. The one-term members are the
+    2^(N+1) codes of +-(Sylvester row), which must be all of them.
+    """
+    length = 1 << n_sites
+    half = length // 2
+    reps, sizes = _relabeling_orbits(n_sites - 1)
+    partners = np.arange(1 << half, dtype=np.uint32) << half
+    hist = np.zeros(length + 1, dtype=np.int64)
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        hist += size * kernels.classify_batch(partners | rep, length)[1]
+    zero = np.empty(length, dtype=np.int64)
+    codes = np.arange(1 << half, dtype=np.uint32)
+    for k, r in enumerate(hadamard.sylvester_masks(half)):
+        n_k = np.bincount(np.bitwise_count(codes ^ r), minlength=half + 1).astype(np.int64)
+        zero[k] = n_k @ n_k[::-1]
+        zero[half + k] = n_k @ n_k
+    rows = np.array(hadamard.sylvester_masks(length), dtype=np.uint32)
+    full = np.uint32((1 << length) - 1)
+    _, one_hist, one_pos = kernels.classify_batch(np.concatenate([rows, rows ^ full]), length)
+    if one_hist[1] != 2 * length or one_hist[1] != hist[1]:
+        raise BellkitError("the one-term members are not the signed Sylvester rows")
+    return zero, hist, one_pos
+
+
 def classify(
     n_sites: int,
     *,
@@ -100,11 +196,13 @@ def classify(
 ) -> ClassificationReport:
     """Count term statistics over the family.
 
-    Exhaustive by default up to 4 sites. Five sites defaults to a fixed
-    seed uniform sample (2^32 members are countable exhaustively, but
-    slowly; pass ``exhaustive=True`` to insist). The sample is drawn in
+    Exhaustive by default up to 4 sites; the exhaustive census comes from
+    the relabeling orbits of N - 1 sites (see the module docstring).
+    Five sites defaults to a fixed seed uniform sample (pass
+    ``exhaustive=True`` for the exact census). The sample is drawn in
     fixed-size blocks, so results depend only on (sample_size, seed),
-    which is capped at ``SAMPLE_MAX_SIZE`` draws.
+    which is capped at ``SAMPLE_MAX_SIZE`` draws; ``jobs`` workers
+    count its blocks.
     """
     check_sites("classification", n_sites, STREAM_MAX_SITES)
     if seed < 0:
@@ -119,9 +217,7 @@ def classify(
 
     if exhaustive:
         total = 1 << length
-
-        def draw(start: int, stop: int) -> np.ndarray:
-            return np.arange(start, stop, dtype=np.int64)
+        zero, hist, one_pos = _orbit_census(n_sites)
     else:
         total = DEFAULT_SAMPLE_SIZE if sample_size is None else int(sample_size)
         if total < 1:
@@ -131,15 +227,14 @@ def classify(
                 f"sample size capped at {SAMPLE_MAX_SIZE}, got {total}"
             )
         rng = np.random.default_rng(seed)
-
-        def draw(start: int, stop: int) -> np.ndarray:
-            return rng.integers(0, 1 << length, size=stop - start, dtype=np.int64)
-
-    step = limits.CENSUS_BATCH_CODES
-    batches = (draw(start, min(start + step, total))
-               for start in range(0, total, step))
-    # never more workers than batches: one batch runs on the calling thread
-    zero, hist, one_pos = _reduce_batches(batches, length, min(jobs, -(-total // step)))
+        step = limits.CENSUS_BATCH_CODES
+        # int64 draws below 2^32 take numpy's buffered 32-bit path, one
+        # uint64 per two draws, so every even step draws the same sample
+        batches = (rng.integers(0, 1 << length, size=min(step, total - start),
+                                dtype=np.int64)
+                   for start in range(0, total, step))
+        # never more workers than batches: one batch runs on the calling thread
+        zero, hist, one_pos = _reduce_batches(batches, length, min(jobs, -(-total // step)))
     full = int(hist[length])
     p = full / total
     report = ClassificationReport(

@@ -45,10 +45,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _text(convert, value) -> str:
+    """convert(value), with the interpreter's limit on printing an integer as an error."""
+    try:
+        return convert(value)
+    except ValueError:
+        # the interpreter's guard against quadratic int-to-text conversion
+        raise BellkitError(
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+
+
 def _record(command: str, body: dict, part: str = "payload") -> str:
     """One JSON record line, without its newline: a payload or an error."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
-                       part: body}, ensure_ascii=False)
+    return _text(functools.partial(json.dumps, ensure_ascii=False),
+                 {"schema_version": SCHEMA_VERSION, "command": command, part: body})
 
 
 def _emit(command: str, payload: dict) -> None:
@@ -195,10 +207,10 @@ def _cmd_enum(args) -> int:
 
 def _poly_out(args, command: str, payload: dict, poly: polynomial.BellPolynomial) -> int:
     if args.format == "text":
-        print(str(poly))
+        print(_text(str, poly))
     else:
         payload["coeffs"] = list(poly.coeffs)
-        payload["poly"] = str(poly)
+        payload["poly"] = _text(str, poly)
         _emit(command, payload)
     return EXIT_OK
 
@@ -226,14 +238,7 @@ def _cmd_poly(args) -> int:
         z = Fraction(args.z)
     except (ValueError, ZeroDivisionError):
         raise BellkitError(f"not a rational number: {args.z!r}") from None
-    try:
-        value = str(Fraction(polynomial.evaluate(poly, z)))
-    except ValueError:
-        # the interpreter's guard against quadratic int-to-text conversion
-        raise BellkitError(
-            f"value has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for printing an integer"
-        ) from None
+    value = _text(str, Fraction(polynomial.evaluate(poly, z)))
     payload = {"coeffs": list(poly.coeffs), "z": str(z), "value": value}
     if args.format == "text":
         print(payload["value"])

@@ -31,7 +31,8 @@ Together these are all maps b'(k) = sigma(k) * b(g(k)) with g a digit
 permutation followed by an XOR translation (n! * 2^n index maps) and
 sigma a row of +-H_n (2^(n+1) sign rows), n! * 2^n * 2^(n+1) elements
 in all (245,760 at five sites). ``symmetry_orbit`` and ``canonical``
-apply that whole group as two cached integer tables, up to five sites.
+apply that whole group as two cached integer tables, up to five sites;
+the exhaustive census of ``analysis`` reads its generators off them.
 """
 from __future__ import annotations
 

@@ -11,7 +11,10 @@ every sign comes from: entry k of the transform of code c is
 2^N - 2 popcount(c XOR r_k) (the Walsh-spectrum / first-order
 Reed-Muller distance identity). ``sylvester_rows`` builds whole rows
 from it; the census needs only its zeros, Hamming distances of exactly
-2^(N-1), so a census batch costs a few bytes per code.
+2^(N-1). Census codes have at most 32 bits (five sites), so
+``classify_batch`` works on uint32 codes and masks with uint8 scratch,
+about 13 bytes per code; a batch of ``limits.CENSUS_BATCH_CODES``
+(2^17) codes then stays inside a 2 MiB L2 cache with two workers.
 
 Rows become text without per-row Python: every token of a line comes
 from a small vocabulary, so a batch is a few NUL-padded byte matrices
@@ -29,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import hadamard
+from .errors import BellkitError
 
 ACTIVE_BACKEND = "numpy"
 
@@ -77,18 +81,26 @@ def classify_batch(codes: np.ndarray, length: int):
     term_histogram[t] counts transforms with exactly t nonzero entries,
     one_term_positions[k] counts 1-term transforms whose term sits at k.
     The transform itself is never formed (see the module docstring);
-    length is a power of two from 2 to 64.
+    length is a power of two from 2 to 32, so codes and masks are
+    uint32, half the bytes of int64 per code.
     """
-    c = np.asarray(codes).astype(np.uint64)
+    if length > 32:
+        raise BellkitError(f"census codes hold at most 32 signs, got length {length}")
+    c = np.asarray(codes).astype(np.uint32)
     half = length // 2
-    masks = np.array(hadamard.sylvester_masks(length), dtype=np.uint64)
+    masks = np.array(hadamard.sylvester_masks(length), dtype=np.uint32)
     zero_counts = np.empty(length, dtype=np.int64)
     zeros = np.zeros(c.size, dtype=np.uint8)
+    # one scratch buffer per step, reused at every position k
+    x = np.empty_like(c)
+    distance = np.empty(c.size, dtype=np.uint8)
+    z = np.empty(c.size, dtype=bool)
     for k, r in enumerate(masks):
-        z = np.bitwise_count(c ^ r) == half
-        zero_counts[k] = np.count_nonzero(z)
+        np.bitwise_count(np.bitwise_xor(c, r, out=x), out=distance)
+        zero_counts[k] = np.count_nonzero(np.equal(distance, half, out=z))
         zeros += z
-    terms = length - zeros
+    del x, distance, z  # free the scratch before bincount's int64 copy
+    terms = np.subtract(length, zeros, out=zeros)
     hist = np.bincount(terms, minlength=length + 1).astype(np.int64)
     # a 1-term code has exactly one k whose distance is not length / 2
     one_term = c[terms == 1]

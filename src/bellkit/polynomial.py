@@ -59,11 +59,12 @@ class BellPolynomial:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise BellkitError("site count must be at least 1")
-        if len(self.coeffs) != 1 << self.n_sites:
-            raise BellkitError(
-                f"expected {1 << self.n_sites} coefficients, got {len(self.coeffs)}"
-            )
-        if not all(isinstance(c, int) for c in self.coeffs):
+        # compared by bit length: a huge n_sites never computes 1 << n_sites
+        count = len(self.coeffs)
+        if count.bit_length() != self.n_sites + 1 or count & (count - 1):
+            raise BellkitError(f"expected 2^{self.n_sites} coefficients, got {count}")
+        # map over the C-level check: records are built by the thousand
+        if not all(map(int.__instancecheck__, self.coeffs)):
             raise BellkitError("coefficients must be integers")
 
     @classmethod
@@ -72,6 +73,7 @@ class BellPolynomial:
         coeffs = [int(v) for v in values]
         if n_sites is None:
             n_sites = max(1, (len(coeffs) - 1).bit_length())
+        check_sites("polynomial records", n_sites, RECORD_MAX_SITES)
         length = 1 << n_sites
         if len(coeffs) > length:
             raise BellkitError(f"{len(coeffs)} coefficients exceed degree < {length}")
@@ -240,10 +242,9 @@ class NormalizedBellPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != 1 << self.n_sites:
-            raise BellkitError(
-                f"expected {1 << self.n_sites} coefficients, got {len(self.coeffs)}"
-            )
+        count = len(self.coeffs)
+        if count.bit_length() != self.n_sites + 1 or count & (count - 1):
+            raise BellkitError(f"expected 2^{self.n_sites} coefficients, got {count}")
         at_one = sum(self.coeffs)
         at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
         if abs(at_one) != 1 or abs(at_minus_one) != 1:

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 from hypothesis import settings
 
+from bellkit import kernels
 from bellkit.errors import BellkitError
 from bellkit.inequality import (
     CoefficientVector,
@@ -66,6 +67,16 @@ def butterfly(values: Sequence[int]) -> tuple[int, ...]:
                 a[i], a[i + h] = a[i] + a[i + h], a[i] - a[i + h]
         h *= 2
     return tuple(a)
+
+
+def scan_census(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``kernels.classify_batch`` over every N-site code at once.
+
+    The full-range scan that ``analysis.classify`` ran before it summed
+    relabeling orbits: the oracle for the orbit census up to N = 4
+    (65,536 codes).
+    """
+    return kernels.classify_batch(np.arange(1 << (1 << n_sites)), 1 << n_sites)
 
 
 def signs_of_code(code: int, n_sites: int) -> tuple[int, ...]:

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -11,7 +14,7 @@ from bellkit import analysis, inequality as ineq, kernels, lhv, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from bellkit.limits import SAMPLE_MAX_SIZE
-from conftest import formula_matrix, read_golden
+from conftest import formula_matrix, read_golden, scan_census
 
 
 class TestTermCount:
@@ -89,7 +92,10 @@ class TestClassifyExhaustive:
 
         monkeypatch.setattr(kernels, "classify_batch", spy)
         assert analysis.classify(n, sample_size=sample_size, seed=1, jobs=2) == expected
-        assert threads == [threading.get_ident()]
+        # the exhaustive census makes one call per three-site orbit, then
+        # one for the signed Sylvester rows
+        calls = 1 if sample_size else len(analysis._relabeling_orbits(n - 1)[0]) + 1
+        assert threads == [threading.get_ident()] * calls
 
 
 class TestClassifySampled:
@@ -118,13 +124,39 @@ class TestClassifySampled:
         # loose five-sigma window around the observed population share
         assert abs(report.full_term_fraction - 0.508) < 0.02
 
+    @pytest.mark.parametrize("n, total", [(5, (1 << 20) + 4097), (3, 12345)])
+    def test_batch_size_and_jobs_do_not_change_sample(self, monkeypatch, n, total):
+        # every batch size is even, so each block of int64 draws starts on a
+        # fresh uint64 of the stream; odd totals end on a partial batch
+        reports = set()
+        for step in (4096, 1 << 17, 1 << 20):
+            monkeypatch.setattr(limits, "CENSUS_BATCH_CODES", step)
+            for jobs in (1, 2, 4):
+                reports.add(analysis.classify(n, sample_size=total, seed=3, jobs=jobs))
+        assert len(reports) == 1
+        assert sum(reports.pop().histogram) == total
+
+    def test_peak_memory_does_not_grow_with_jobs(self):
+        # each worker holds one L2-sized batch: a 2^22 sample at jobs 4 peaked
+        # 105 MiB above jobs 1 with 2^20-code int64 batches
+        script = ("import sys; from bellkit import analysis; "
+                  "analysis.classify(5, sample_size=1 << 22, jobs=int(sys.argv[1])); "
+                  "print([line.split()[1] for line in open('/proc/self/status') "
+                  "if line.startswith('VmHWM:')][0])")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        peak = {jobs: int(subprocess.run([sys.executable, "-c", script, str(jobs)],
+                                         capture_output=True, text=True, env=env,
+                                         check=True).stdout)
+                for jobs in (1, 4)}
+        assert peak[4] - peak[1] <= 16 * 1024, peak
+
     def test_sampling_below_five_sites_allowed(self):
         report = analysis.classify(3, sample_size=1000, seed=0)
         assert report.mode == "sample" and report.total == 1000
 
 
-# README's exhaustive five-site census (`classify --n 5 --exhaustive`,
-# 2^32 members): the number of t-term members, keyed by t
+# the exhaustive five-site census (`classify --n 5 --exhaustive`, 2^32
+# members, frozen from the full 246 s scan): t-term members, keyed by t
 FIVE_SITE_HISTOGRAM = {
     1: 64, 4: 9920, 8: 79360, 10: 1666560, 13: 17776640, 16: 16086272,
     18: 3809280, 20: 144435200, 21: 213319680, 22: 475080704, 23: 284426240,
@@ -153,6 +185,66 @@ class TestSamplerExactReference:
                 continue
             sigma = math.sqrt(draws * p * (1 - p))
             assert abs(got - draws * p) <= 5 * sigma, (t, got, float(draws * p))
+
+
+class TestOrbitCensus:
+    """The exhaustive census from relabeling orbits, against full scans."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_scan(self, n):
+        zero, hist, one_pos = scan_census(n)
+        report = analysis.classify(n, exhaustive=True)
+        assert list(report.histogram) == hist.tolist()
+        assert list(report.zero_counts) == zero.tolist()
+        assert report.trivial_classes == np.count_nonzero(one_pos)
+
+    def test_orbit_counts(self):
+        # one to four sites: 1, 2, 5 and 39 relabeling classes
+        counts = []
+        for n in range(1, 5):
+            reps, sizes = analysis._relabeling_orbits(n)
+            assert sizes.sum() == 1 << (1 << n)
+            assert reps[0] == 0 and np.all(np.diff(reps) > 0)
+            counts.append(len(reps))
+        assert counts == [1, 2, 5, 39]
+
+    def test_five_sites_exact(self):
+        report = analysis.classify(5, exhaustive=True)
+        assert {t: c for t, c in enumerate(report.histogram) if c} == FIVE_SITE_HISTOGRAM
+        assert report.full_term == 2181005312 and report.trivial_classes == 32
+        assert set(report.zero_counts) == {math.comb(32, 16)}
+
+    def test_no_code_scan(self, monkeypatch):
+        # 39 partner sums of 2^16 codes and the 64 signed rows, not 2^32 codes
+        classify_batch, items = kernels.classify_batch, []
+
+        def spy(codes, length):
+            items.append(len(codes))
+            return classify_batch(codes, length)
+
+        monkeypatch.setattr(kernels, "classify_batch", spy)
+        analysis.classify(5, exhaustive=True)
+        assert items == [1 << 16] * 39 + [64]
+
+    @pytest.mark.parametrize("which", range(9))
+    def test_corrupt_generator_is_caught(self, monkeypatch, which):
+        # one wrong sign in one three-site generator: no longer a relabeling
+        generators = analysis._orbit_generators
+
+        def corrupt(n_sites):
+            gens = generators(n_sites)
+            g, sigma = gens[which]
+            sigma = sigma.copy()
+            sigma[1] *= -1
+            gens[which] = (g, sigma)
+            return gens
+
+        monkeypatch.setattr(analysis, "_orbit_generators", corrupt)
+        try:
+            report = analysis.classify(4, exhaustive=True)
+        except BellkitError:
+            return
+        assert list(report.histogram) != scan_census(4)[1].tolist()
 
 
 class TestClassifyValidation:

@@ -159,9 +159,9 @@ class TestGenOutput:
     """``gen`` output against digests of the butterfly transform's output.
 
     The code at N sites is random.Random(N).getrandbits(2^N), passed in
-    hex. Fourteen sites in JSON is absent: its code has 4,933 decimal
-    digits, past the interpreter's int-to-text limit, so the record
-    cannot be printed.
+    hex. Fourteen sites in JSON has no digest: its code has 4,933
+    decimal digits, past the interpreter's int-to-text limit, so it is
+    an error record.
     """
 
     DIGESTS = json.loads(read_golden("gen_stdout_sha256.json"))
@@ -174,6 +174,17 @@ class TestGenOutput:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+    def test_fourteen_site_json_is_an_error_record(self, capsys):
+        # the record's "c" is past the int-to-text limit; it used to be a traceback
+        code = random.Random(14).getrandbits(1 << 14)
+        argv = ["gen", "--n", "14", "--c", hex(code), "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == (
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer")
 
 
 class TestEnumCommand:
@@ -418,6 +429,18 @@ class TestPolyCommand:
         message = json.loads(out.stderr)["error"]["message"]
         assert f"more than {sys.get_int_max_str_digits()} digits" in message
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_bowtie_value_past_digit_limit(self, fmt, capsys):
+        # each operand parses, but 2 (10^4300 - 1) has 4,301 digits
+        big = "9" * 4300
+        argv = ["poly", "bowtie", "--a", f"{big},1", "--b", f"{big},1", "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == (
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer")
+
     def test_zero_sum_output_feeds_back(self):
         out = run_cli("poly", "s", "--n", "2", "--k", "1")
         payload = json.loads(out.stdout)["payload"]
@@ -525,6 +548,13 @@ class TestClassifyCommand:
         assert payload["full_term"] == 8
         assert payload["trivial_classes"] == 4
         assert payload["zero_counts"] == [6, 6, 6, 6]
+
+    def test_five_site_exhaustive_golden(self, capsys):
+        # frozen from the 2^32-code scan (246 s); the orbit census takes well under 1 s
+        assert cli.main(["classify", "--n", "5", "--exhaustive"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == read_golden("cli_classify_n5_exhaustive.json")
 
     def test_sample_reproducible(self):
         args = ["classify", "--n", "4", "--sample", "5000", "--seed", "7"]

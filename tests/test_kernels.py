@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellkit import hadamard, kernels
+from bellkit.errors import BellkitError
 from conftest import formula_matrix, popcount_parity
 
 
@@ -65,17 +66,28 @@ class TestClassifyBatchOracle:
         order = 1 << n
         # +-rows of the matrix are the 2^(N+1) one-term codes
         row_codes = ((formula_matrix(n) < 0) << np.arange(order)).sum(axis=1)
+        # the extreme codes: 0, the top bit alone (2^31 at length 32), all ones
+        edges = [0, 1 << (order - 1), (1 << order) - 1]
         codes = np.concatenate([
             np.random.default_rng(n).integers(0, 1 << order, size=3000),
             row_codes,
             row_codes ^ ((1 << order) - 1),
+            edges,
         ]).astype(np.int64)
-        got = kernels.classify_batch(codes, order)
         expected = dense_census(codes, n)
         assert (expected[2] >= 2).all()
-        for g, e in zip(got, expected):
-            assert g.dtype == np.int64
-            assert g.tolist() == e.tolist()
+        # int64 draws and uint32 codes give the same counts
+        for dtype in (np.int64, np.uint32):
+            got = kernels.classify_batch(codes.astype(dtype), order)
+            for g, e in zip(got, expected):
+                assert g.dtype == np.int64
+                assert g.tolist() == e.tolist()
+
+    @pytest.mark.parametrize("length", [64, 128])
+    def test_length_past_uint32_raises(self, length):
+        # uint32 codes hold 32 signs; a longer row must not wrap silently
+        with pytest.raises(BellkitError, match=f"at most 32 signs, got length {length}"):
+            kernels.classify_batch(np.arange(4, dtype=np.int64), length)
 
     def test_peak_memory_per_code(self):
         size = 1 << 16
@@ -86,7 +98,8 @@ class TestClassifyBatchOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * size
+        # uint32 codes and uint8 scratch: about 13 bytes per code
+        assert peak <= 24 * size
 
 
 class TestSylvesterMasks:

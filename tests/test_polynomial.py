@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bellkit import inequality as ineq
 from bellkit import polynomial as poly
-from bellkit.errors import BellkitError
+from bellkit.errors import BellkitError, CapExceededError
 from conftest import poly_from_factors, poly_mul, read_golden, signs_of_code
 
 
@@ -505,3 +505,39 @@ class TestRendering:
     def test_from_ints_overflow(self):
         with pytest.raises(BellkitError):
             poly.BellPolynomial.from_ints([1, 2, 3], n_sites=1)
+
+
+class TestRecordSiteChecks:
+    """Record constructors answer any site count with a BellkitError."""
+
+    @pytest.mark.parametrize("record", [poly.BellPolynomial, poly.NormalizedBellPolynomial])
+    def test_huge_site_count_is_compared_by_bit_length(self, record):
+        # 1 << 10**20 used to raise OverflowError in the check's own message
+        with pytest.raises(BellkitError, match=r"expected 2\^100000000000000000000 "
+                                               r"coefficients, got 0"):
+            record(10**20, ())
+
+    @pytest.mark.parametrize("count", [0, 3, 5, 8])
+    def test_wrong_length(self, count):
+        with pytest.raises(BellkitError, match=f"expected 2\\^2 coefficients, got {count}"):
+            poly.BellPolynomial(2, (1,) * count)
+
+    @pytest.mark.parametrize("from_ints", [poly.BellPolynomial.from_ints,
+                                           ineq.CoefficientVector.from_ints])
+    @pytest.mark.parametrize("n_sites", [15, 40, 10**20])
+    def test_from_ints_capped_before_padding(self, from_ints, n_sites):
+        # padding to 2^40 entries used to raise MemoryError
+        with pytest.raises(CapExceededError, match="capped at 14 sites"):
+            from_ints([1, 1], n_sites=n_sites)
+
+    @pytest.mark.parametrize("n_sites", [0, -1])
+    def test_from_ints_needs_a_site(self, n_sites):
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            poly.BellPolynomial.from_ints([1], n_sites=n_sites)
+
+    def test_bowtie_lifts_past_the_record_cap(self):
+        # the record has no cap, so two 14-site records still lift to 15 sites
+        a = poly.BellPolynomial.from_ints([1], n_sites=14)
+        lifted = poly.bowtie(a, a)
+        assert lifted.n_sites == 15
+        assert lifted.coeffs[0] == 2 and sum(lifted.coeffs) == 2
