@@ -5,121 +5,49 @@ inequalities from sign-matrix transforms, mirrors it as single-variable
 polynomials indexed by sign/parity number pairs, verifies every member
 against a brute-force search over local deterministic strategies, and
 counts structural statistics of the family. See the README for the CLI.
+
+Every public name resolves on first use from its home module, so
+``import bellkit`` loads no numpy; numpy loads with the first batch
+module (``kernels``, ``analysis``, ``inequality`` or ``cli``).
 """
-import os
-import sys
-
-# Every matrix product here is on int64, so numpy never calls BLAS, and an
-# OpenBLAS pool would only add a busy-waiting thread and its buffers per
-# extra core. Load numpy with one BLAS thread, then restore the environment
-# for the caller and its children. A caller who set a count, or imported
-# numpy first, keeps what they chose.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-from .analysis import (
-    ClassificationReport,
-    binomial_identity_sides,
-    classify,
-    max_b0_family,
-    term_count,
-    verify_binomial_identity,
-    zero_probability,
-    zero_probability_asymptotic,
-)
-from .errors import BellkitError, CapExceededError
-from .hadamard import HadamardMatrix, build, entry, gf2_dot, kronecker
-from .inequality import (
-    CoefficientVector,
-    StandardForm,
-    bound,
-    bowtie,
-    canonical,
-    enumerate_inequalities,
-    from_sign_vector,
-    reverse_observables,
-    sign_vector_from_code,
-    standard_form,
-    symmetry_orbit,
-    to_traditional,
-)
-from .lhv import (
-    DeterministicStrategy,
-    SingletSetup,
-    expectation_table,
-    is_tight,
-    max_lhv,
-    singlet_expectation,
-    strategy_value,
-    tilt_identity,
-)
-from .polynomial import (
-    BellPolynomial,
-    NormalizedBellPolynomial,
-    UVIndex,
-    bell_poly,
-    column_poly,
-    constant_coeff,
-    evaluate,
-    negate_index,
-    normalize,
-    reflect_index,
-    summand_poly,
-)
-from .polynomial import bowtie as bowtie_poly
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellkitError",
-    "BellPolynomial",
-    "CapExceededError",
-    "ClassificationReport",
-    "CoefficientVector",
-    "DeterministicStrategy",
-    "HadamardMatrix",
-    "NormalizedBellPolynomial",
-    "SingletSetup",
-    "StandardForm",
-    "UVIndex",
-    "bell_poly",
-    "binomial_identity_sides",
-    "bound",
-    "bowtie",
-    "bowtie_poly",
-    "build",
-    "canonical",
-    "classify",
-    "column_poly",
-    "constant_coeff",
-    "enumerate_inequalities",
-    "entry",
-    "evaluate",
-    "expectation_table",
-    "from_sign_vector",
-    "gf2_dot",
-    "is_tight",
-    "kronecker",
-    "max_b0_family",
-    "max_lhv",
-    "negate_index",
-    "normalize",
-    "reflect_index",
-    "reverse_observables",
-    "sign_vector_from_code",
-    "singlet_expectation",
-    "standard_form",
-    "strategy_value",
-    "summand_poly",
-    "symmetry_orbit",
-    "term_count",
-    "tilt_identity",
-    "to_traditional",
-    "zero_probability",
-    "zero_probability_asymptotic",
-]
+# home module -> the public names it defines; ``bowtie_poly`` is polynomial.bowtie
+_EXPORTS = {
+    "analysis": ("ClassificationReport", "binomial_identity_sides", "classify",
+                 "max_b0_family", "term_count", "verify_binomial_identity",
+                 "zero_probability", "zero_probability_asymptotic"),
+    "coefficients": ("CoefficientVector", "StandardForm", "bound", "bowtie",
+                     "from_sign_vector", "reverse_observables", "sign_vector_from_code",
+                     "standard_form", "to_traditional"),
+    "errors": ("BellkitError", "CapExceededError"),
+    "hadamard": ("HadamardMatrix", "build", "entry", "gf2_dot", "kronecker"),
+    "inequality": ("canonical", "enumerate_inequalities", "symmetry_orbit"),
+    "lhv": ("DeterministicStrategy", "SingletSetup", "expectation_table", "is_tight",
+            "max_lhv", "singlet_expectation", "strategy_value", "tilt_identity"),
+    "polynomial": ("BellPolynomial", "NormalizedBellPolynomial", "UVIndex", "bell_poly",
+                   "bowtie_poly", "column_poly", "constant_coeff", "evaluate",
+                   "negate_index", "normalize", "reflect_index", "summand_poly"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# verify_binomial_identity is importable but has never been in __all__
+__all__ = sorted(_HOME.keys() - {"verify_binomial_identity"})
+
+
+# Not cached in globals(): every lookup sees the home module's attribute,
+# also while a test or the benchmark's tracer has replaced it there.
+def __getattr__(name: str):
+    """The public name from its home module, imported on first use (PEP 562)."""
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{__name__}.{home}")
+    return getattr(module, "bowtie" if name == "bowtie_poly" else name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -34,11 +34,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import hadamard, kernels, limits
+from ._numpy import np
+from .coefficients import CoefficientVector, _as_vector
 from .errors import BellkitError, CapExceededError
-from .inequality import CoefficientVector, _as_vector, _relabelings
+from .inequality import _relabelings
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
                      SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
 from .polynomial import BellPolynomial

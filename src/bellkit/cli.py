@@ -20,9 +20,8 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import analysis, hadamard, inequality, kernels, lhv, limits, polynomial
+from ._numpy import np
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
 

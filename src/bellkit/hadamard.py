@@ -20,18 +20,23 @@ every module that interprets indices digit-wise shares it.
 Every sign in the package comes from here: ``entry`` for one entry,
 ``parity`` for numpy index grids, ``sylvester_masks`` for every row as
 the bitmask of its -1 entries, and ``build`` for the dense int8 matrix
-(capped at N = 13). H @ c is ``inequality.from_sign_vector``.
+(capped at N = 13). H @ c is ``coefficients.from_sign_vector``.
+
+Importing this module loads no numpy, so the integer modules can use
+it: ``parity``, ``build`` and ``kronecker`` import numpy when called.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import limits
 from .errors import BellkitError
 from .limits import DENSE_MAX_SITES, check_sites
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def gf2_dot(j: int, k: int) -> int:
@@ -48,6 +53,8 @@ def entry(j: int, k: int) -> int:
 
 def parity(j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """gf2_dot over broadcast integer arrays, as uint8: 1 where the entry is -1."""
+    from ._numpy import np
+
     return np.bitwise_count(j & k) & 1
 
 
@@ -95,6 +102,8 @@ class HadamardMatrix:
 
 def build(n_sites: int) -> HadamardMatrix:
     """Dense int8 matrix of order 2^n_sites from ``parity``, in bounded row batches."""
+    from ._numpy import np
+
     check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
     order = 1 << n_sites
     h = np.empty((order, order), dtype=np.int8)
@@ -107,6 +116,8 @@ def build(n_sites: int) -> HadamardMatrix:
 
 def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
+    from ._numpy import np
+
     check_sites("Kronecker product", a.n_sites + b.n_sites, DENSE_MAX_SITES, least=0)
     return HadamardMatrix(a.order * b.order,
                           np.kron(a.entries, b.entries).astype(np.int8))

@@ -1,23 +1,12 @@
-"""Correlation Bell inequalities as exact integer coefficient vectors.
+"""The whole family of Bell inequalities in numpy batches, and its relabeling group.
 
-A coefficient vector (b_0, ..., b_{2^N-1}) encodes the constraint
-
-    |sum_k b_k E(k)| <= |sum_k b_k|
-
-on the full-correlation expectation values E(k) of N sites with two
-+-1-valued observables each. The index k is read as N binary digits,
-site 1 first (most significant); digit d_i selects the observable used
-at site i. The complete family for N sites is generated by applying the
-order-2^N Sylvester transform to every +-1 sign vector c; such raw
-vectors have even entries and coefficient sum +-2^N.
-
-``CoefficientVector`` is a ``polynomial.BellPolynomial`` whose value at
-z = 1, the coefficient sum, is nonzero; ``StandardForm`` further has
-coprime entries and a positive sum. Rows built here from valid input
-(enumeration, transforms, orbit images) skip the re-validation.
-
-Sign vectors are encoded as bitmasks: bit j set means c_j = -1. The
-enumeration order is the numeric order of these codes.
+The records themselves (``CoefficientVector``, ``StandardForm``), their
+transforms and their text are Python ints in ``coefficients``, which
+loads no numpy; this module re-exports them, so ``inequality.X`` names
+every one. What is here needs numpy: the complete family for N sites,
+one batch of sign-vector codes at a time (``coefficient_batches``,
+``enumerate_inequalities``), the standard forms and traditional text of
+whole batches, and the relabeling group.
 
 Relabeling the experiment acts on the coefficients as one group:
 
@@ -38,137 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-import numpy as np
-
 from . import hadamard, kernels, limits, polynomial
+from ._numpy import np
+# the numpy-free records, re-exported so that inequality.X names them all
+from .coefficients import (LEQ, MINUS, CoefficientVector, StandardForm, _as_vector,
+                           _setting_labels, bound, bowtie, from_sign_vector,
+                           reverse_observables, setting_digits, sign_vector_from_code,
+                           site_count, standard_form, to_traditional)
 from .errors import BellkitError
-from .limits import (MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, RECORD_MAX_SITES,
-                     STREAM_MAX_SITES, check_sites)
-from .polynomial import BellPolynomial
-
-MINUS = "−"  # sign used by the traditional rendering
-LEQ = "≤"
-
-
-class CoefficientVector(BellPolynomial):
-    """One Bell inequality: a Bell polynomial B with B(1) != 0.
-
-    Vectors with coefficient sum zero are rejected outright; no member
-    of the generated family has one, so accepting them would only mask
-    caller bugs.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if sum(self.coeffs) == 0:
-            raise BellkitError("coefficient sum is zero: not a Bell inequality")
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int],
-                  n_sites: int | None = None) -> "CoefficientVector":
-        """Build from a plain sequence; without n_sites its length must be 2^N."""
-        if n_sites is not None:
-            return super().from_ints(values, n_sites)
-        coeffs = tuple(int(v) for v in values)
-        return cls(site_count(len(coeffs)), coeffs)
-
-
-def site_count(n_coeffs: int) -> int:
-    """N for 2^N coefficients; other counts are an error."""
-    n = (n_coeffs - 1).bit_length()
-    if n_coeffs < 2 or n_coeffs != 1 << n:
-        raise BellkitError(
-            f"coefficient count must be a power of two >= 2, got {n_coeffs}"
-        )
-    return n
-
-
-class StandardForm(CoefficientVector):
-    """Coefficient vector with coprime entries and positive sum."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if math.gcd(*(abs(c) for c in self.coeffs)) != 1:
-            raise BellkitError("standard form requires coprime coefficients")
-        if sum(self.coeffs) < 0:
-            raise BellkitError("standard form requires a positive coefficient sum")
-
-
-def _as_vector(v: BellPolynomial | Sequence[int]) -> CoefficientVector:
-    if isinstance(v, CoefficientVector):
-        return v
-    if isinstance(v, BellPolynomial):
-        return CoefficientVector(v.n_sites, v.coeffs)
-    return CoefficientVector.from_ints(v)
-
-
-def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
-    """Per-site observable digits of index k, site 1 first."""
-    return tuple((k >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
-
-
-def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
-    """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
-    check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
-    length = 1 << n_sites
-    if not 0 <= code < (1 << length):
-        raise BellkitError(f"code {code} out of range for {n_sites} sites")
-    return tuple(1 - 2 * ((code >> j) & 1) for j in range(length))
-
-
-def from_sign_vector(c: Sequence[int]) -> CoefficientVector:
-    """Coefficients of the inequality selected by the sign vector c.
-
-    H c: even entries, |entry| <= 2^N and sum +-2^N. With a and b the
-    codes of the halves of c it is [W(a) + W(b), W(a) - W(b)], twice
-    ``polynomial.bell_poly`` of (u, v) = (a, a XOR b), even powers first.
-    """
-    signs = tuple(c)
-    n = (len(signs) - 1).bit_length()
-    if len(signs) < 2 or len(signs) != 1 << n:
-        raise BellkitError("sign vector length must be a power of two >= 2")
-    check_sites("sign vectors", n, RECORD_MAX_SITES)
-    if not all(isinstance(x, numbers.Real) and x in (1, -1) for x in signs):
-        raise BellkitError("sign vector entries must be +1 or -1")
-    code = int("".join("1" if x == -1 else "0" for x in reversed(signs)), 2)
-    half = len(signs) // 2
-    a, b = code & ((1 << half) - 1), code >> half
-    member = polynomial.bell_poly(polynomial.UVIndex(n, a, a ^ b)).coeffs
-    even_first = member[0::2] + member[1::2]
-    return CoefficientVector._trusted(n, tuple(2 * x for x in even_first))
-
-
-def bound(v: CoefficientVector | Sequence[int]) -> int:
-    """Right-hand side |sum_k b_k| of the inequality (scale-covariant)."""
-    return abs(sum(_as_vector(v).coeffs))
-
-
-def standard_form(v: CoefficientVector | Sequence[int]) -> StandardForm:
-    """Divide by the gcd and orient the sum positive. Idempotent."""
-    v = _as_vector(v)
-    g = math.gcd(*(abs(c) for c in v.coeffs))
-    coeffs = tuple(c // g for c in v.coeffs)
-    if sum(coeffs) < 0:
-        coeffs = tuple(-c for c in coeffs)
-    return StandardForm._trusted(v.n_sites, coeffs)
-
-
-def bowtie(a: CoefficientVector | Sequence[int],
-           b: CoefficientVector | Sequence[int]) -> CoefficientVector:
-    """Lift two N-site inequalities of equal bound to one (N+1)-site one.
-
-    ``polynomial.bowtie`` on the two vectors: pairwise sums, then pairwise
-    differences. The callers must pre-scale the arguments to equal
-    |coefficient sum|. The lift sums to twice a's sum, so it is never
-    zero, but standard forms can lift to even entries: a is passed on as
-    a plain vector, so the lift is one too.
-    """
-    a, b = _as_vector(a), _as_vector(b)
-    return polynomial.bowtie(CoefficientVector(a.n_sites, a.coeffs), b)
+from .limits import MATERIALIZE_MAX_SITES, ORBIT_MAX_SITES, STREAM_MAX_SITES, check_sites
 
 
 def coefficient_batches(n_sites: int, *,
@@ -214,22 +84,6 @@ def _standard_rows(block: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _setting_labels(n_sites: int) -> tuple[str, ...]:
-    """The term label E(d_1,...,d_N) of every index, digits 1-based."""
-    return tuple("E(" + ",".join(str(d + 1) for d in setting_digits(k, n_sites)) + ")"
-                 for k in range(1 << n_sites))
-
-
-def to_traditional(v: CoefficientVector | Sequence[int]) -> str:
-    """Render with 1-based observable digits, e.g. |E(1,1) - E(1,2)| <= 2."""
-    v = _as_vector(v)
-    terms = [(c, label) for c, label in zip(v.coeffs, _setting_labels(v.n_sites)) if c]
-    text = "".join(polynomial.term(c, label, i == 0, " + ", f" {MINUS} ")
-                   for i, (c, label) in enumerate(terms))
-    return f"|{text}| {LEQ} {bound(v)}"
-
-
-@lru_cache(maxsize=None)
 def _term_table(n_sites: int) -> np.ndarray:
     """``kernels.token_table`` of every term c E(k) of n sites, |c| <= 2^n.
 
@@ -255,12 +109,6 @@ def _traditional_terms(block: np.ndarray) -> np.ndarray:
     first = positions == (block != 0).argmax(axis=1)[:, None]
     index = (positions * (2 * v + 1) + block + v) * 2 + first
     return kernels.lookup(_term_table(n_sites), index)
-
-
-def reverse_observables(v: CoefficientVector | Sequence[int]) -> CoefficientVector:
-    """Swap the observable labels 1 and 2 everywhere: reverse the vector."""
-    v = _as_vector(v)
-    return CoefficientVector._trusted(v.n_sites, v.coeffs[::-1])
 
 
 # -- relabeling group ---------------------------------------------------------

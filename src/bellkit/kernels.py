@@ -29,9 +29,8 @@ only because the benchmark harness traces them by name.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import hadamard
+from ._numpy import np
 from .errors import BellkitError
 
 ACTIVE_BACKEND = "numpy"

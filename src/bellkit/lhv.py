@@ -16,7 +16,8 @@ other two only flip the sign. Each step is two whole-list passes over
 Python ints, exact for any coefficients and, at up to a few hundred
 entries, cheaper than numpy's per-call overhead. It shares no code with
 the transforms that generate inequalities (``kernels.sylvester_rows``
-and ``polynomial.bell_poly``), so they cross-check each other.
+and ``polynomial.bell_poly``), so they cross-check each other. Nothing
+here loads numpy but ``expectation_table``, when called.
 
 The singlet fixtures model two spin measurements at angles theta_i and
 eta_j on a rotationally invariant entangled pair, whose product
@@ -31,12 +32,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add, sub
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .coefficients import CoefficientVector, _as_vector, setting_digits
 from .errors import BellkitError
-from .inequality import CoefficientVector, _as_vector, setting_digits
 from .limits import RECORD_MAX_SITES, check_sites
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TILT_ANGLES = (math.pi / 3, math.pi, 5 * math.pi / 3)
 
@@ -152,6 +155,8 @@ def singlet_expectation(setup: SingletSetup, i: int, j: int) -> float:
 def expectation_table(setup: SingletSetup | None = None,
                       phi: float = 0.0) -> np.ndarray:
     """3x3 table of product expectations, second apparatus tilted by phi."""
+    from ._numpy import np
+
     phi = _reduce_angle(phi)
     setup = setup or SingletSetup()
     return np.array(

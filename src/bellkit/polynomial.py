@@ -36,7 +36,7 @@ row masks of ``hadamard.sylvester_masks``. ``gen`` reads the N-site
 transform of a code with halves a and b off B_(a, a XOR b).
 
 ``BellPolynomial`` is also the base of the coefficient-vector records in
-``inequality``: an inequality is a Bell polynomial with B(1) != 0.
+``coefficients``: an inequality is a Bell polynomial with B(1) != 0.
 Everything here uses exact integer (or dyadic rational) arithmetic.
 """
 from __future__ import annotations

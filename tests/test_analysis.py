@@ -74,28 +74,36 @@ class TestClassifyExhaustive:
         assert analysis.classify(1).full_term == 0
 
     def test_jobs_do_not_change_result(self, monkeypatch):
-        a = analysis.classify(3)
-        monkeypatch.setattr(limits, "CENSUS_BATCH_CODES", 16)
-        b = analysis.classify(3, jobs=4)
-        assert a == b
+        # the exhaustive census starts no worker thread, whatever --jobs says
+        expected = analysis.classify(3, jobs=1)
+        report, threads = classify_threads(monkeypatch, 3, jobs=4)
+        assert report == expected
+        assert threads == [threading.get_ident()] * (len(analysis._relabeling_orbits(2)[0]) + 1)
 
     @pytest.mark.parametrize("n, sample_size", [(4, None), (5, limits.CENSUS_BATCH_CODES)])
     def test_one_batch_runs_on_the_calling_thread(self, monkeypatch, n, sample_size):
         # classify --n 4 --exhaustive and a sample of CENSUS_BATCH_CODES draws
         # are one batch each, so --jobs 2 starts no worker thread
         expected = analysis.classify(n, sample_size=sample_size, seed=1, jobs=1)
-        classify_batch, threads = kernels.classify_batch, []
-
-        def spy(codes, length):
-            threads.append(threading.get_ident())
-            return classify_batch(codes, length)
-
-        monkeypatch.setattr(kernels, "classify_batch", spy)
-        assert analysis.classify(n, sample_size=sample_size, seed=1, jobs=2) == expected
+        report, threads = classify_threads(monkeypatch, n, sample_size=sample_size,
+                                           seed=1, jobs=2)
+        assert report == expected
         # the exhaustive census makes one call per three-site orbit, then
         # one for the signed Sylvester rows
         calls = 1 if sample_size else len(analysis._relabeling_orbits(n - 1)[0]) + 1
         assert threads == [threading.get_ident()] * calls
+
+
+def classify_threads(monkeypatch, n, **kwargs):
+    """``analysis.classify(n, **kwargs)`` and the thread of each classify_batch call."""
+    classify_batch, threads = kernels.classify_batch, []
+
+    def spy(codes, length):
+        threads.append(threading.get_ident())
+        return classify_batch(codes, length)
+
+    monkeypatch.setattr(kernels, "classify_batch", spy)
+    return analysis.classify(n, **kwargs), threads
 
 
 class TestClassifySampled:
