@@ -228,10 +228,11 @@ def classify(
             )
         rng = np.random.default_rng(seed)
         step = limits.CENSUS_BATCH_CODES
-        # int64 draws below 2^32 take numpy's buffered 32-bit path, one
-        # uint64 per two draws, so every even step draws the same sample
+        # uint32 draws take the same buffered 32-bit path as int64 draws
+        # below 2^32, so the seeded sample is unchanged at half the bytes,
+        # and the kernel reads them without a copy
         batches = (rng.integers(0, 1 << length, size=min(step, total - start),
-                                dtype=np.int64)
+                                dtype=np.uint32)
                    for start in range(0, total, step))
         # never more workers than batches: one batch runs on the calling thread
         zero, hist, one_pos = _reduce_batches(batches, length, min(jobs, -(-total // step)))

@@ -47,6 +47,8 @@ class CoefficientVector(BellPolynomial):
     caller bugs.
     """
 
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if sum(self.coeffs) == 0:
@@ -74,6 +76,8 @@ def site_count(n_coeffs: int) -> int:
 
 class StandardForm(CoefficientVector):
     """Coefficient vector with coprime entries and positive sum."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()

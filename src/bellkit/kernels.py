@@ -12,9 +12,10 @@ every sign comes from: entry k of the transform of code c is
 Reed-Muller distance identity). ``sylvester_rows`` builds whole rows
 from it; the census needs only its zeros, Hamming distances of exactly
 2^(N-1). Census codes have at most 32 bits (five sites), so
-``classify_batch`` works on uint32 codes and masks with uint8 scratch,
-about 13 bytes per code; a batch of ``limits.CENSUS_BATCH_CODES``
-(2^17) codes then stays inside a 2 MiB L2 cache with two workers.
+``classify_batch`` takes uint32 codes without a copy and works with
+uint32 masks and uint8 scratch, about 7 bytes per code besides the
+codes; a batch of ``limits.CENSUS_BATCH_CODES`` (2^17) codes then stays
+inside a 2 MiB L2 cache with two workers.
 
 Rows become text without per-row Python: every token of a line comes
 from a small vocabulary, so a batch is a few NUL-padded byte matrices
@@ -81,11 +82,11 @@ def classify_batch(codes: np.ndarray, length: int):
     one_term_positions[k] counts 1-term transforms whose term sits at k.
     The transform itself is never formed (see the module docstring);
     length is a power of two from 2 to 32, so codes and masks are
-    uint32, half the bytes of int64 per code.
+    uint32, half the bytes of int64 per code; uint32 codes are not copied.
     """
     if length > 32:
         raise BellkitError(f"census codes hold at most 32 signs, got length {length}")
-    c = np.asarray(codes).astype(np.uint32)
+    c = np.asarray(codes).astype(np.uint32, copy=False)
     half = length // 2
     masks = np.array(hadamard.sylvester_masks(length), dtype=np.uint32)
     zero_counts = np.empty(length, dtype=np.int64)
@@ -97,10 +98,12 @@ def classify_batch(codes: np.ndarray, length: int):
     for k, r in enumerate(masks):
         np.bitwise_count(np.bitwise_xor(c, r, out=x), out=distance)
         zero_counts[k] = np.count_nonzero(np.equal(distance, half, out=z))
-        zeros += z
-    del x, distance, z  # free the scratch before bincount's int64 copy
+        zeros += z.view(np.uint8)  # no bool-to-uint8 cast buffer
+    del x, distance, z
     terms = np.subtract(length, zeros, out=zeros)
-    hist = np.bincount(terms, minlength=length + 1).astype(np.int64)
+    # unlike bincount, add.at makes no intp copy of the uint8 terms
+    hist = np.zeros(length + 1, dtype=np.int64)
+    np.add.at(hist, terms, 1)
     # a 1-term code has exactly one k whose distance is not length / 2
     one_term = c[terms == 1]
     pos = (np.bitwise_count(one_term[:, None] ^ masks) != half).argmax(axis=1)

@@ -27,9 +27,9 @@ ORBIT_MAX_SITES = 5
 IDENTITY_MAX_SITES = 13
 
 # sign-vector codes per census batch; no count or seeded sample depends on
-# it. The kernel's loop touches about 11 bytes per code (uint32 codes and
-# scratch, uint8 counts), 1.4 MiB at 2^17: inside a 2 MiB L2 cache per
-# worker. At 2^16 the workers spend more time handing over the GIL.
+# it. A batch holds 11 bytes per code from draw to histogram (the uint32
+# draw, uint32 and uint8 scratch), 1.4 MiB at 2^17: inside a 2 MiB L2
+# cache per worker. At 2^16 the workers spend more time handing over the GIL.
 CENSUS_BATCH_CODES = 1 << 17
 # coefficient rows per ``coefficient_batches`` batch; no row depends on it
 ENUM_BATCH_ROWS = 1 << 10

@@ -49,7 +49,7 @@ from .errors import BellkitError
 from .limits import RECORD_MAX_SITES, check_sites
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellPolynomial:
     """Integer polynomial of degree < 2^n_sites, stored densely."""
 
@@ -116,7 +116,7 @@ def render(coeffs) -> str:
     return "".join(term(c, label, i == 0) for i, (c, label) in enumerate(terms)) or "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UVIndex:
     """Sign number u and parity number v, each with 2^(n_sites-1) bits."""
 
@@ -172,15 +172,16 @@ def bell_poly(index: UVIndex) -> BellPolynomial:
 
         B_(u,v) = interleave(W(u) + W(u XOR v), W(u) - W(u XOR v)) / 2
 
-    with W(c)[i] = 2^(N-1) - 2 popcount(c XOR r_i) over the row masks r_i.
+    with W(c)[i] = 2^(N-1) - 2 d_c, d_c = popcount(c XOR r_i) the Hamming
+    distance to row mask r_i. Halved, the pair (2i, 2i + 1) is
+    (2^(N-1) - d_a - d_b, d_b - d_a) for a = u and b = u XOR v.
     """
     half = index.summands
     a, b = index.u, index.u ^ index.v
     coeffs = []
     for r in hadamard.sylvester_masks(half):
-        wa = half - 2 * (a ^ r).bit_count()
-        wb = half - 2 * (b ^ r).bit_count()
-        coeffs += ((wa + wb) // 2, (wa - wb) // 2)
+        da, db = (a ^ r).bit_count(), (b ^ r).bit_count()
+        coeffs += (half - da - db, db - da)
     return BellPolynomial._trusted(index.n_sites, tuple(coeffs))
 
 
@@ -242,9 +243,14 @@ class NormalizedBellPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if self.n_sites < 1:
+            raise BellkitError("site count must be at least 1")
         count = len(self.coeffs)
         if count.bit_length() != self.n_sites + 1 or count & (count - 1):
             raise BellkitError(f"expected 2^{self.n_sites} coefficients, got {count}")
+        # floats would make the |value| 1 checks inexact
+        if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+            raise BellkitError("coefficients must be integers or fractions")
         at_one = sum(self.coeffs)
         at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
         if abs(at_one) != 1 or abs(at_minus_one) != 1:

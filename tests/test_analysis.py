@@ -94,16 +94,22 @@ class TestClassifyExhaustive:
         assert threads == [threading.get_ident()] * calls
 
 
-def classify_threads(monkeypatch, n, **kwargs):
-    """``analysis.classify(n, **kwargs)`` and the thread of each classify_batch call."""
-    classify_batch, threads = kernels.classify_batch, []
+def classify_calls(monkeypatch, n, **kwargs):
+    """``analysis.classify(n, **kwargs)`` and (thread, codes dtype) of each classify_batch call."""
+    classify_batch, calls = kernels.classify_batch, []
 
     def spy(codes, length):
-        threads.append(threading.get_ident())
+        calls.append((threading.get_ident(), codes.dtype))
         return classify_batch(codes, length)
 
     monkeypatch.setattr(kernels, "classify_batch", spy)
-    return analysis.classify(n, **kwargs), threads
+    return analysis.classify(n, **kwargs), calls
+
+
+def classify_threads(monkeypatch, n, **kwargs):
+    """``analysis.classify(n, **kwargs)`` and the thread of each classify_batch call."""
+    report, calls = classify_calls(monkeypatch, n, **kwargs)
+    return report, [thread for thread, _ in calls]
 
 
 class TestClassifySampled:
@@ -134,7 +140,7 @@ class TestClassifySampled:
 
     @pytest.mark.parametrize("n, total", [(5, (1 << 20) + 4097), (3, 12345)])
     def test_batch_size_and_jobs_do_not_change_sample(self, monkeypatch, n, total):
-        # every batch size is even, so each block of int64 draws starts on a
+        # every batch size is even, so each block of uint32 draws starts on a
         # fresh uint64 of the stream; odd totals end on a partial batch
         reports = set()
         for step in (4096, 1 << 17, 1 << 20):
@@ -143,6 +149,13 @@ class TestClassifySampled:
                 reports.add(analysis.classify(n, sample_size=total, seed=3, jobs=jobs))
         assert len(reports) == 1
         assert sum(reports.pop().histogram) == total
+
+    @pytest.mark.parametrize("n, kwargs", [(5, dict(sample_size=(1 << 18) + 3, jobs=2)),
+                                           (4, dict(exhaustive=True))])
+    def test_codes_reach_the_kernel_as_uint32(self, monkeypatch, n, kwargs):
+        # drawn (or built) as uint32, so the kernel makes no copy of a batch
+        _, calls = classify_calls(monkeypatch, n, **kwargs)
+        assert calls and {dtype for _, dtype in calls} == {np.dtype(np.uint32)}
 
     def test_peak_memory_does_not_grow_with_jobs(self):
         # each worker holds one L2-sized batch: a 2^22 sample at jobs 4 peaked

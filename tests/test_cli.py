@@ -556,6 +556,15 @@ class TestClassifyCommand:
         assert err == ""
         assert out == read_golden("cli_classify_n5_exhaustive.json")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_five_site_sample_golden(self, capsys, jobs):
+        # frozen from int64 draws; the odd size leaves a partial last batch
+        args = ["classify", "--n", "5", "--sample", "1000003", "--seed", "11", "--jobs", jobs]
+        assert cli.main(args) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == read_golden("cli_classify_n5_sample.json")
+
     def test_sample_reproducible(self):
         args = ["classify", "--n", "4", "--sample", "5000", "--seed", "7"]
         assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -98,8 +98,21 @@ class TestClassifyBatchOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # uint32 codes and uint8 scratch: about 13 bytes per code
+        # a uint32 copy of the int64 codes, uint32 and uint8 scratch: about 11 bytes per code
         assert peak <= 24 * size
+
+    def test_uint32_codes_are_not_copied(self):
+        # the census draws uint32 codes: the kernel adds only its 7 bytes of
+        # scratch per code (bincount's intp copy of the terms made it 13)
+        size = 1 << 14
+        codes = np.random.default_rng(0).integers(0, 1 << 32, size=size, dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            kernels.classify_batch(codes, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * size
 
 
 class TestSylvesterMasks:

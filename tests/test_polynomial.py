@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import functools
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -335,6 +338,56 @@ class TestNormalize:
     def test_rejects_non_family_scale(self):
         with pytest.raises(BellkitError):
             poly.normalize(poly.summand_poly(2, 1))
+
+    @pytest.mark.parametrize("n_sites, coeffs", [
+        (0, (Fraction(1),)),
+        (-1, (Fraction(1),)),
+    ])
+    def test_rejects_site_counts_below_one(self, n_sites, coeffs):
+        with pytest.raises(BellkitError, match="site count must be at least 1"):
+            poly.NormalizedBellPolynomial(n_sites, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 0.0),
+        (Fraction(1), 0.0),
+        ("1", "0"),
+        (None, 1),
+    ])
+    def test_rejects_inexact_coefficients(self, coeffs):
+        # floats would make the |value| 1 checks inexact
+        with pytest.raises(BellkitError, match="integers or fractions"):
+            poly.NormalizedBellPolynomial(1, coeffs)
+
+    def test_accepts_ints_and_fractions(self):
+        assert poly.NormalizedBellPolynomial(1, (1, Fraction(0))).coeffs == (1, 0)
+
+
+def records():
+    """One of each slotted record type, built by its validating constructor."""
+    return [
+        poly.BellPolynomial(2, (1, 2, 0, -3)),
+        poly.UVIndex(3, 5, 9),
+        ineq.CoefficientVector(1, (1, 1)),
+        ineq.StandardForm(2, (1, 1, 1, -1)),
+    ]
+
+
+class TestRecordSlots:
+    """The bulk records carry no per-instance dict and still copy and pickle."""
+
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.n_sites = 1
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_clone_keeps_type_equality_and_hash(self, record, clone):
+        twin = clone(record)
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
 
 
 class TestBridge:
