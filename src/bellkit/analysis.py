@@ -13,17 +13,21 @@ checked or reported here, all scale-invariant:
 * the share of members with a zero at any fixed position is exactly
   C(2^N, 2^(N-1)) / 2^(2^N), approaching 1/sqrt(2^(N-1) pi) from below.
 
-Counting is exhaustive through N = 4 (and optionally N = 5); N = 5
-defaults to a seeded uniform sample with a reported standard error.
+Counting is exhaustive unless a sample size is given; a seeded uniform
+sample reports a standard error.
 
 The exhaustive census never scans the 2^(2^N) codes. Write an N-site
 code as a | b << 2^(N-1), with a and b codes of N - 1 sites; its
 transform is [W(a) + W(b), W(a) - W(b)] (the paper's recursive
-generation). A relabeling of N - 1 sites applied to a and b together
-permutes and signs both spectra alike, so the term count of the pair is
-unchanged, and the histogram is the sum over the relabeling orbits O of
-(N-1)-site codes of |O| times the census of the 2^(2^(N-1)) partners of
-one representative: 39 partner sums of 65,536 codes at N = 5.
+generation). An element of the extended affine group EA(N-1) (linear
+change of variables, translation, added linear function, complement)
+applied to a and b together permutes and signs both Walsh spectra
+alike, so the term count of the pair is unchanged, and the histogram
+is the sum over the EA classes C of (N-1)-site codes of |C| times the
+census of the 2^(2^(N-1)) partners of one representative: 8 partner
+sums of 65,536 codes at N = 5 (Berlekamp & Welch's eight classes; the
+relabeling group leaves 39). XOR with a row mask permutes the codes,
+so every zero count is C(2^N, 2^(N-1)).
 """
 from __future__ import annotations
 
@@ -42,8 +46,6 @@ from .inequality import _relabelings
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
                      SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
 from .polynomial import BellPolynomial
-
-DEFAULT_SAMPLE_SIZE = 10_000_000
 
 
 def term_count(v: CoefficientVector | Sequence[int]) -> int:
@@ -74,16 +76,14 @@ def _reduce_batches(
     batches: Iterator[np.ndarray],
     length: int,
     jobs: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros(length, dtype=np.int64)
     hist = np.zeros(length + 1, dtype=np.int64)
-    one_pos = np.zeros(length, dtype=np.int64)
 
     def accumulate(result) -> None:
-        z, h, o = result
+        z, h = result
         np.add(zero, z, out=zero)
         np.add(hist, h, out=hist)
-        np.add(one_pos, o, out=one_pos)
 
     if jobs <= 1:
         for codes in batches:
@@ -97,14 +97,16 @@ def _reduce_batches(
                     accumulate(window.pop(0).result())
             for fut in window:
                 accumulate(fut.result())
-    return zero, hist, one_pos
+    return zero, hist
 
 
 def _orbit_generators(n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """3n generators (index map g, sign row sigma) of the n-site relabeling group.
+    """Generators (index map g, sign row sigma) of the extended affine group EA(n).
 
-    Read off ``inequality._relabelings``: the adjacent site swaps, the
-    translations k ^ e_i, the sign rows H[e_i] and global negation.
+    The first 3n generate the relabeling group, read off
+    ``inequality._relabelings``: the adjacent site swaps, the translations
+    k ^ e_i, the sign rows H[e_i] and global negation. The transvection
+    k -> k ^ ((k >> 1) & 1) (n >= 2) and the swaps generate GL(n, 2).
     """
     index_maps, sign_rows = _relabelings(n_sites)
     perms = list(itertools.permutations(range(n_sites)))  # the identity first
@@ -117,19 +119,23 @@ def _orbit_generators(n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
         gens.append((index_maps[0, 1 << i], sign_rows[0]))
         gens.append((index_maps[0, 0], sign_rows[1 << i]))
     gens.append((index_maps[0, 0], sign_rows[1 << n_sites]))
+    if n_sites >= 2:
+        k = np.arange(1 << n_sites)
+        gens.append((k ^ ((k >> 1) & 1), sign_rows[0]))
     return gens
 
 
-def _relabeling_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest code, size) of every relabeling orbit of n-site sign-vector codes.
+def _affine_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest code, size) of every EA(n) class of n-site sign-vector codes.
 
     Conjugating by H swaps the translations and the sign rows, so the
     relabeling group acts on sign vectors c by the same maps as on
-    coefficients, c'(j) = sigma(j) * c(g(j)). Each generator becomes a
+    coefficients, c'(j) = sigma(j) * c(g(j)); the transvection is a
+    linear change of the variables j. Each generator becomes a
     permutation of all 2^(2^n) codes; min-label propagation with pointer
-    jumping then labels every code by the smallest code of its orbit.
+    jumping then labels every code by the smallest code of its class.
     """
-    check_sites("relabeling orbits", n_sites, MATERIALIZE_MAX_SITES, least=0)
+    check_sites("affine classes", n_sites, MATERIALIZE_MAX_SITES, least=0)
     order = 1 << n_sites
     codes = np.arange(1 << order, dtype=np.int64)
     images = []
@@ -148,42 +154,34 @@ def _relabeling_orbits(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
         if np.array_equal(labels, before):
             break
     reps, sizes = np.unique(labels, return_counts=True)
-    group_order = math.factorial(n_sites) * order * 2 * order
+    # |EA(n)| = |GL(n, 2)| * 2^n translations * 2^n linear functions * 2
+    group_order = math.prod(order - (1 << i) for i in range(n_sites)) * order * order * 2
     if sizes.sum() != codes.size or any(group_order % int(s) for s in sizes):
-        raise BellkitError("relabeling orbits do not partition the codes")
+        raise BellkitError("affine classes do not partition the codes")
     return reps, sizes
 
 
-def _orbit_census(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact (zero counts, histogram, one-term positions) of the N-site family.
+def _orbit_census(n_sites: int) -> np.ndarray:
+    """Exact term histogram of the N-site family.
 
-    The histogram sums |O| times the census of rep_O | b << 2^(N-1) over
-    every (N-1)-site code b, orbit by orbit (see the module docstring).
-    Zeros are not invariant position by position, so they come from
-    N_k(d), the number of (N-1)-site codes at Hamming distance d from
-    row mask r_k: W(a)_k + W(b)_k = 0 at d_b = 2^(N-1) - d_a, and
-    W(a)_k - W(b)_k = 0 at d_b = d_a. The one-term members are the
-    2^(N+1) codes of +-(Sylvester row), which must be all of them.
+    The histogram sums |C| times the census of rep_C | b << 2^(N-1) over
+    every (N-1)-site code b, class by class (see the module docstring).
+    The one-term members are the 2^(N+1) codes of +-(Sylvester row),
+    which must be all of them.
     """
     length = 1 << n_sites
     half = length // 2
-    reps, sizes = _relabeling_orbits(n_sites - 1)
+    reps, sizes = _affine_classes(n_sites - 1)
     partners = np.arange(1 << half, dtype=np.uint32) << half
     hist = np.zeros(length + 1, dtype=np.int64)
     for rep, size in zip(reps.tolist(), sizes.tolist()):
         hist += size * kernels.classify_batch(partners | rep, length)[1]
-    zero = np.empty(length, dtype=np.int64)
-    codes = np.arange(1 << half, dtype=np.uint32)
-    for k, r in enumerate(hadamard.sylvester_masks(half)):
-        n_k = np.bincount(np.bitwise_count(codes ^ r), minlength=half + 1).astype(np.int64)
-        zero[k] = n_k @ n_k[::-1]
-        zero[half + k] = n_k @ n_k
     rows = np.array(hadamard.sylvester_masks(length), dtype=np.uint32)
     full = np.uint32((1 << length) - 1)
-    _, one_hist, one_pos = kernels.classify_batch(np.concatenate([rows, rows ^ full]), length)
+    _, one_hist = kernels.classify_batch(np.concatenate([rows, rows ^ full]), length)
     if one_hist[1] != 2 * length or one_hist[1] != hist[1]:
         raise BellkitError("the one-term members are not the signed Sylvester rows")
-    return zero, hist, one_pos
+    return hist
 
 
 def classify(
@@ -196,13 +194,11 @@ def classify(
 ) -> ClassificationReport:
     """Count term statistics over the family.
 
-    Exhaustive by default up to 4 sites; the exhaustive census comes from
-    the relabeling orbits of N - 1 sites (see the module docstring).
-    Five sites defaults to a fixed seed uniform sample (pass
-    ``exhaustive=True`` for the exact census). The sample is drawn in
-    fixed-size blocks, so results depend only on (sample_size, seed),
-    which is capped at ``SAMPLE_MAX_SIZE`` draws; ``jobs`` workers
-    count its blocks.
+    Exhaustive unless a sample size is given; the exhaustive census
+    comes from the EA classes of N - 1 sites (see the module docstring).
+    The sample is drawn in fixed-size blocks, so results depend only on
+    (sample_size, seed), which is capped at ``SAMPLE_MAX_SIZE`` draws;
+    ``jobs`` workers count its blocks.
     """
     check_sites("classification", n_sites, STREAM_MAX_SITES)
     if seed < 0:
@@ -211,15 +207,16 @@ def classify(
         raise BellkitError(f"jobs must be at least 1, got {jobs}")
     length = 1 << n_sites
     if exhaustive is None:
-        exhaustive = n_sites <= MATERIALIZE_MAX_SITES and sample_size is None
-    if exhaustive and sample_size is not None:
+        exhaustive = sample_size is None
+    if exhaustive != (sample_size is None):
         raise BellkitError("choose either exhaustive counting or a sample size")
 
     if exhaustive:
         total = 1 << length
-        zero, hist, one_pos = _orbit_census(n_sites)
+        zero = np.full(length, math.comb(length, length // 2), dtype=np.int64)
+        hist = _orbit_census(n_sites)
     else:
-        total = DEFAULT_SAMPLE_SIZE if sample_size is None else int(sample_size)
+        total = int(sample_size)
         if total < 1:
             raise BellkitError("sample size must be positive")
         if total > SAMPLE_MAX_SIZE:
@@ -235,7 +232,7 @@ def classify(
                                 dtype=np.uint32)
                    for start in range(0, total, step))
         # never more workers than batches: one batch runs on the calling thread
-        zero, hist, one_pos = _reduce_batches(batches, length, min(jobs, -(-total // step)))
+        zero, hist = _reduce_batches(batches, length, min(jobs, -(-total // step)))
     full = int(hist[length])
     p = full / total
     report = ClassificationReport(
@@ -244,7 +241,7 @@ def classify(
         total=total,
         histogram=tuple(int(x) for x in hist),
         full_term=full,
-        trivial_classes=int(np.count_nonzero(one_pos)) if exhaustive else None,
+        trivial_classes=length if exhaustive else None,
         zero_counts=tuple(int(x) for x in zero),
         seed=None if exhaustive else seed,
         full_term_stderr=None if exhaustive else math.sqrt(p * (1 - p) / total),
@@ -259,10 +256,6 @@ def _check_exhaustive(report: ClassificationReport) -> None:
     n, total = report.n_sites, report.total
     if sum(report.histogram) != total:
         raise BellkitError("histogram does not sum to the population size")
-    if report.trivial_classes != 1 << n:
-        raise BellkitError(
-            f"expected {1 << n} trivial classes, counted {report.trivial_classes}"
-        )
     if n >= 2 and 2 * report.full_term < total:
         raise BellkitError("fewer than half of the members are full-term")
     if n in (2, 3) and 2 * report.full_term != total:
@@ -278,6 +271,12 @@ def _check_exhaustive(report: ClassificationReport) -> None:
         raise BellkitError("histogram zeros disagree with the per-position zeros")
     if report.histogram[1] != 2 * length:
         raise BellkitError(f"expected {2 * length} one-term members")
+    # two positions k != k' are both zero in C(L/2, L/4)^2 members, since
+    # r_k ^ r_k' is another row mask
+    both_zero = math.comb(length // 2, length // 4) ** 2
+    squares = sum((length - t) ** 2 * h for t, h in enumerate(report.histogram))
+    if n >= 2 and squares != length * per_position + length * (length - 1) * both_zero:
+        raise BellkitError("histogram zeros fail the second-moment identity")
 
 
 def zero_probability(n_sites: int, k: int = 0) -> Fraction:

@@ -76,13 +76,13 @@ def sylvester_rows(codes: np.ndarray, length: int) -> np.ndarray:
 def classify_batch(codes: np.ndarray, length: int):
     """Accumulate transform statistics for a batch of sign-vector codes.
 
-    Returns (zero_counts, term_histogram, one_term_positions):
-    zero_counts[k] counts transforms with a zero at position k,
-    term_histogram[t] counts transforms with exactly t nonzero entries,
-    one_term_positions[k] counts 1-term transforms whose term sits at k.
-    The transform itself is never formed (see the module docstring);
-    length is a power of two from 2 to 32, so codes and masks are
-    uint32, half the bytes of int64 per code; uint32 codes are not copied.
+    Returns (zero_counts, term_histogram): zero_counts[k] counts
+    transforms with a zero at position k, term_histogram[t] counts
+    transforms with exactly t nonzero entries; the exhaustive census
+    calls it once per EA class (8 partner sums at N = 5). The transform
+    itself is never formed (see the module docstring); length is a power
+    of two from 2 to 32, so codes and masks are uint32, half the bytes of
+    int64 per code; uint32 codes are not copied.
     """
     if length > 32:
         raise BellkitError(f"census codes hold at most 32 signs, got length {length}")
@@ -104,11 +104,7 @@ def classify_batch(codes: np.ndarray, length: int):
     # unlike bincount, add.at makes no intp copy of the uint8 terms
     hist = np.zeros(length + 1, dtype=np.int64)
     np.add.at(hist, terms, 1)
-    # a 1-term code has exactly one k whose distance is not length / 2
-    one_term = c[terms == 1]
-    pos = (np.bitwise_count(one_term[:, None] ^ masks) != half).argmax(axis=1)
-    one_pos = np.bincount(pos, minlength=length).astype(np.int64)
-    return zero_counts, hist, one_pos
+    return zero_counts, hist
 
 
 def lhv_max_range(coeffs: np.ndarray, n_sites: int,

@@ -69,12 +69,12 @@ def butterfly(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(a)
 
 
-def scan_census(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scan_census(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """``kernels.classify_batch`` over every N-site code at once.
 
     The full-range scan that ``analysis.classify`` ran before it summed
-    relabeling orbits: the oracle for the orbit census up to N = 4
-    (65,536 codes).
+    over classes of N - 1 sites: the oracle for the class census up to
+    N = 4 (65,536 codes). Returns (zero counts, histogram).
     """
     return kernels.classify_batch(np.arange(1 << (1 << n_sites)), 1 << n_sites)
 

@@ -28,14 +28,18 @@ class TestTermCount:
         assert analysis.term_count((3, 1, 1, -1, -1, 1, 1, -1)) == 8
 
 
+def dense_transforms(n):
+    """Coefficients of every N-site member via a dense matrix product, no package kernels."""
+    order = 1 << n
+    codes = np.arange(1 << order, dtype=np.int64)
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(order)) & 1)
+    return signs @ formula_matrix(n).T
+
+
 def reference_census(n):
     """Classification via a dense matrix product, no package kernels."""
     order = 1 << n
-    dense = formula_matrix(n)
-    codes = np.arange(1 << order, dtype=np.int64)
-    signs = 1 - 2 * ((codes[:, None] >> np.arange(order)) & 1)
-    transforms = signs @ dense.T
-    zero_mask = transforms == 0
+    zero_mask = dense_transforms(n) == 0
     terms = order - zero_mask.sum(axis=1)
     hist = np.bincount(terms, minlength=order + 1)
     return zero_mask.sum(axis=0), hist
@@ -78,7 +82,7 @@ class TestClassifyExhaustive:
         expected = analysis.classify(3, jobs=1)
         report, threads = classify_threads(monkeypatch, 3, jobs=4)
         assert report == expected
-        assert threads == [threading.get_ident()] * (len(analysis._relabeling_orbits(2)[0]) + 1)
+        assert threads == [threading.get_ident()] * (len(analysis._affine_classes(2)[0]) + 1)
 
     @pytest.mark.parametrize("n, sample_size", [(4, None), (5, limits.CENSUS_BATCH_CODES)])
     def test_one_batch_runs_on_the_calling_thread(self, monkeypatch, n, sample_size):
@@ -88,9 +92,9 @@ class TestClassifyExhaustive:
         report, threads = classify_threads(monkeypatch, n, sample_size=sample_size,
                                            seed=1, jobs=2)
         assert report == expected
-        # the exhaustive census makes one call per three-site orbit, then
+        # the exhaustive census makes one call per three-site EA class, then
         # one for the signed Sylvester rows
-        calls = 1 if sample_size else len(analysis._relabeling_orbits(n - 1)[0]) + 1
+        calls = 1 if sample_size else len(analysis._affine_classes(n - 1)[0]) + 1
         assert threads == [threading.get_ident()] * calls
 
 
@@ -194,6 +198,8 @@ class TestSamplerExactReference:
         assert sum(h.values()) == 1 << 32
         assert sum((32 - t) * count for t, count in h.items()) == 32 * math.comb(32, 16)
         assert h[1] == 64
+        assert (sum((32 - t) ** 2 * count for t, count in h.items())
+                == 32 * math.comb(32, 16) + 32 * 31 * math.comb(16, 8) ** 2)
 
     def test_sample_within_five_sigma_of_every_bin(self):
         draws = 1 << 20
@@ -209,25 +215,39 @@ class TestSamplerExactReference:
 
 
 class TestOrbitCensus:
-    """The exhaustive census from relabeling orbits, against full scans."""
+    """The exhaustive census from extended-affine classes, against full scans."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_scan(self, n):
-        zero, hist, one_pos = scan_census(n)
+        zero, hist = scan_census(n)
         report = analysis.classify(n, exhaustive=True)
         assert list(report.histogram) == hist.tolist()
         assert list(report.zero_counts) == zero.tolist()
-        assert report.trivial_classes == np.count_nonzero(one_pos)
+        # scalar-equivalence classes of the one-term members: their distinct positions
+        transforms = dense_transforms(n)
+        one_term = transforms[np.count_nonzero(transforms, axis=1) == 1]
+        assert report.trivial_classes == len(np.unique(np.nonzero(one_term)[1]))
 
     def test_orbit_counts(self):
-        # one to four sites: 1, 2, 5 and 39 relabeling classes
+        # one to four sites: 1, 2, 3 and 8 EA classes (Berlekamp & Welch),
+        # where the relabeling group leaves 1, 2, 5 and 39
         counts = []
         for n in range(1, 5):
-            reps, sizes = analysis._relabeling_orbits(n)
+            reps, sizes = analysis._affine_classes(n)
             assert sizes.sum() == 1 << (1 << n)
             assert reps[0] == 0 and np.all(np.diff(reps) > 0)
             counts.append(len(reps))
-        assert counts == [1, 2, 5, 39]
+        assert counts == [1, 2, 3, 8]
+        assert sorted(sizes.tolist()) == [32, 512, 896, 1120, 3840, 14336, 17920, 26880]
+
+    def test_four_site_histogram_from_classes(self):
+        # a member's term count is an EA(4) invariant, so the eight
+        # (representative, size) pairs alone give the four-site histogram
+        reps, sizes = analysis._affine_classes(4)
+        hist = np.zeros(17, dtype=np.int64)
+        for rep, size in zip(reps.tolist(), sizes.tolist()):
+            hist += size * kernels.classify_batch(np.array([rep]), 16)[1]
+        assert hist.tolist() == scan_census(4)[1].tolist()
 
     def test_five_sites_exact(self):
         report = analysis.classify(5, exhaustive=True)
@@ -236,7 +256,7 @@ class TestOrbitCensus:
         assert set(report.zero_counts) == {math.comb(32, 16)}
 
     def test_no_code_scan(self, monkeypatch):
-        # 39 partner sums of 2^16 codes and the 64 signed rows, not 2^32 codes
+        # 8 partner sums of 2^16 codes and the 64 signed rows, not 2^32 codes
         classify_batch, items = kernels.classify_batch, []
 
         def spy(codes, length):
@@ -245,11 +265,12 @@ class TestOrbitCensus:
 
         monkeypatch.setattr(kernels, "classify_batch", spy)
         analysis.classify(5, exhaustive=True)
-        assert items == [1 << 16] * 39 + [64]
+        assert items == [1 << 16] * 8 + [64]
 
-    @pytest.mark.parametrize("which", range(9))
+    @pytest.mark.parametrize("which", range(10))
     def test_corrupt_generator_is_caught(self, monkeypatch, which):
-        # one wrong sign in one three-site generator: no longer a relabeling
+        # one wrong sign in one three-site generator (the tenth is the
+        # transvection): no longer an element of EA(3)
         generators = analysis._orbit_generators
 
         def corrupt(n_sites):
@@ -286,6 +307,9 @@ class TestClassifyValidation:
     def test_conflicting_modes(self):
         with pytest.raises(BellkitError):
             analysis.classify(3, exhaustive=True, sample_size=10)
+        # without a size there is nothing to sample
+        with pytest.raises(BellkitError, match="sample size"):
+            analysis.classify(5, exhaustive=False)
 
     def test_bad_sample_size(self):
         with pytest.raises(BellkitError):
@@ -331,6 +355,18 @@ class TestExhaustiveIdentities:
         r = analysis.classify(3)
         hist = moved(r.histogram, (1, 2), (3, 2))
         with pytest.raises(BellkitError, match="one-term"):
+            analysis._check_exhaustive(dataclasses.replace(r, histogram=hist))
+
+    @pytest.mark.parametrize("moves", [((4, 5), (8, 7)), ((4, 5), (4, 3))])
+    def test_second_moment(self, moves):
+        # two members move one bin each, in opposite directions: the
+        # population, the full-term count, the zero total and the one-term
+        # bin all hold, so only the second moment of the zeros catches it
+        r = analysis.classify(3)
+        hist = moved(r.histogram, *moves)
+        assert sum(hist) == r.total and hist[1] == 16 and r.full_term == 128
+        assert sum((8 - t) * h for t, h in enumerate(hist)) == sum(r.zero_counts)
+        with pytest.raises(BellkitError, match="second-moment"):
             analysis._check_exhaustive(dataclasses.replace(r, histogram=hist))
 
 

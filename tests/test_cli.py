@@ -550,8 +550,15 @@ class TestClassifyCommand:
         assert payload["zero_counts"] == [6, 6, 6, 6]
 
     def test_five_site_exhaustive_golden(self, capsys):
-        # frozen from the 2^32-code scan (246 s); the orbit census takes well under 1 s
+        # frozen from the 2^32-code scan (246 s); the class census takes well under 1 s
         assert cli.main(["classify", "--n", "5", "--exhaustive"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == read_golden("cli_classify_n5_exhaustive.json")
+
+    def test_five_site_default_is_exhaustive(self, capsys):
+        # without --sample the census is exact, not a 10^7-draw estimate
+        assert cli.main(["classify", "--n", "5"]) == cli.EXIT_OK
         out, err = capsys.readouterr()
         assert err == ""
         assert out == read_golden("cli_classify_n5_exhaustive.json")
