@@ -26,12 +26,14 @@ alike, so the term count of the pair is unchanged, and the histogram
 is the sum over the EA classes C of (N-1)-site codes of |C| times the
 census of the 2^(2^(N-1)) partners of one representative: 8 partner
 sums of 65,536 codes at N = 5 (Berlekamp & Welch's eight classes; the
-relabeling group leaves 39). XOR with a row mask permutes the codes,
-so every zero count is C(2^N, 2^(N-1)).
+relabeling group leaves 39). The classes are the groups of codes with
+the same sorted |W|, found with one ``np.unique``: the key is an EA
+invariant, and up to four variables it separates the classes. XOR
+with a row mask permutes the codes, so every zero count is
+C(2^N, 2^(N-1)).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -42,9 +44,8 @@ from . import hadamard, kernels, limits
 from ._numpy import np
 from .coefficients import CoefficientVector, _as_vector
 from .errors import BellkitError, CapExceededError
-from .inequality import _relabelings
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
-                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_sites)
+                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_integer, check_sites)
 from .polynomial import BellPolynomial
 
 
@@ -100,63 +101,38 @@ def _reduce_batches(
     return zero, hist
 
 
-def _orbit_generators(n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Generators (index map g, sign row sigma) of the extended affine group EA(n).
+def _spectrum_key(codes: np.ndarray, length: int) -> np.ndarray:
+    """Each code's sorted |W|, as one uint8 row of sorted (length - |W_i|) / 2.
 
-    The first 3n generate the relabeling group, read off
-    ``inequality._relabelings``: the adjacent site swaps, the translations
-    k ^ e_i, the sign rows H[e_i] and global negation. The transvection
-    k -> k ^ ((k >> 1) & 1) (n >= 2) and the swaps generate GL(n, 2).
+    Entry i of the Walsh spectrum is length - 2 d_i, with d_i =
+    popcount(c XOR r_i) the distance to Sylvester row mask r_i, so
+    min(d_i, length - d_i) is (length - |W_i|) / 2. EA(n) permutes and
+    signs W, so the sorted row is the same for every code of a class.
     """
-    index_maps, sign_rows = _relabelings(n_sites)
-    perms = list(itertools.permutations(range(n_sites)))  # the identity first
-    gens = []
-    for i in range(n_sites - 1):
-        swap = list(range(n_sites))
-        swap[i], swap[i + 1] = swap[i + 1], swap[i]
-        gens.append((index_maps[perms.index(tuple(swap)), 0], sign_rows[0]))
-    for i in range(n_sites):
-        gens.append((index_maps[0, 1 << i], sign_rows[0]))
-        gens.append((index_maps[0, 0], sign_rows[1 << i]))
-    gens.append((index_maps[0, 0], sign_rows[1 << n_sites]))
-    if n_sites >= 2:
-        k = np.arange(1 << n_sites)
-        gens.append((k ^ ((k >> 1) & 1), sign_rows[0]))
-    return gens
+    masks = np.array(hadamard.sylvester_masks(length), dtype=codes.dtype)
+    d = np.bitwise_count(codes[:, None] ^ masks)
+    return np.sort(np.minimum(d, length - d), axis=1)
 
 
 def _affine_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest code, size) of every EA(n) class of n-site sign-vector codes.
+    """(smallest code, size) of every EA(n) class of n-site sign-vector codes, in code order.
 
-    Conjugating by H swaps the translations and the sign rows, so the
-    relabeling group acts on sign vectors c by the same maps as on
-    coefficients, c'(j) = sigma(j) * c(g(j)); the transvection is a
-    linear change of the variables j. Each generator becomes a
-    permutation of all 2^(2^n) codes; min-label propagation with pointer
-    jumping then labels every code by the smallest code of its class.
+    The codes are grouped by ``_spectrum_key``, an EA(n) invariant that
+    up to four variables also tells the classes apart: 1, 2, 3 and 8 of
+    them (Berlekamp & Welch, IEEE Trans. Inf. Theory 18 (1972) 203).
+    One ``np.unique`` over the key rows, each viewed as one 2^n-byte
+    value, gives the first code and the size of every group.
     """
     check_sites("affine classes", n_sites, MATERIALIZE_MAX_SITES, least=0)
     order = 1 << n_sites
-    codes = np.arange(1 << order, dtype=np.int64)
-    images = []
-    for g, sigma in _orbit_generators(n_sites):
-        image = np.full(codes.size, sum(1 << j for j in range(order) if sigma[j] < 0))
-        for j in range(order):
-            image ^= ((codes >> int(g[j])) & 1) << j
-        images.append(image)
-    labels = codes
-    while True:
-        before = labels
-        for image in images:
-            labels = np.minimum(labels, labels[image])
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-        if np.array_equal(labels, before):
-            break
-    reps, sizes = np.unique(labels, return_counts=True)
+    key = _spectrum_key(np.arange(1 << order, dtype=np.uint32), order)
+    _, reps, sizes = np.unique(key.view(np.dtype((np.void, order))).ravel(),
+                               return_index=True, return_counts=True)
+    in_code_order = np.argsort(reps)
+    reps, sizes = reps[in_code_order], sizes[in_code_order]
     # |EA(n)| = |GL(n, 2)| * 2^n translations * 2^n linear functions * 2
     group_order = math.prod(order - (1 << i) for i in range(n_sites)) * order * order * 2
-    if sizes.sum() != codes.size or any(group_order % int(s) for s in sizes):
+    if sizes.sum() != 1 << order or any(group_order % int(s) for s in sizes):
         raise BellkitError("affine classes do not partition the codes")
     return reps, sizes
 
@@ -200,7 +176,8 @@ def classify(
     (sample_size, seed), which is capped at ``SAMPLE_MAX_SIZE`` draws;
     ``jobs`` workers count its blocks.
     """
-    check_sites("classification", n_sites, STREAM_MAX_SITES)
+    n_sites = check_sites("classification", n_sites, STREAM_MAX_SITES)
+    seed, jobs = check_integer("seed", seed), check_integer("jobs", jobs)
     if seed < 0:
         raise BellkitError(f"seed must be nonnegative, got {seed}")
     if jobs < 1:
@@ -216,7 +193,7 @@ def classify(
         zero = np.full(length, math.comb(length, length // 2), dtype=np.int64)
         hist = _orbit_census(n_sites)
     else:
-        total = int(sample_size)
+        total = check_integer("sample size", sample_size)
         if total < 1:
             raise BellkitError("sample size must be positive")
         if total > SAMPLE_MAX_SIZE:
@@ -303,7 +280,7 @@ def binomial_identity_sides(n_sites: int) -> tuple[int, int]:
     Left: sum_k C(2^(N-1), 2k) C(2k, k) 2^(2^(N-1) - 2k) with k running
     while 2k <= 2^(N-1). Right: C(2^N, 2^(N-1)).
     """
-    check_sites("binomial identity", n_sites, IDENTITY_MAX_SITES)
+    n_sites = check_sites("binomial identity", n_sites, IDENTITY_MAX_SITES)
     half = 1 << (n_sites - 1)
     lhs = sum(
         math.comb(half, 2 * k) * math.comb(2 * k, k) * (1 << (half - 2 * k))

@@ -7,6 +7,8 @@ read them as ``limits.X`` at call time.
 """
 from __future__ import annotations
 
+import operator
+
 from .errors import BellkitError, CapExceededError
 
 # dense 2^13 x 2^13 int8 matrix is ~64 MiB
@@ -38,16 +40,28 @@ ENUM_BATCH_ROWS = 1 << 10
 OUTPUT_BATCH_CELLS = 1 << 16
 
 
-def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> None:
-    """Raise unless least <= n_sites <= max_sites.
+def check_integer(what: str, value: object) -> int:
+    """value as an int by ``operator.index``: numpy ints pass, 2.0 and "2" are a BellkitError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BellkitError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> int:
+    """n_sites as an int; raise unless least <= n_sites <= max_sites.
 
     The one site-range check: every function that takes a site count
     calls it first, before any work sized by 2^n_sites. Too few sites is
-    a BellkitError, too many a CapExceededError.
+    a BellkitError, too many a CapExceededError, and a site count that
+    is not an integer a BellkitError.
     """
+    if type(n_sites) is not int:  # the common case skips a call
+        n_sites = check_integer("site count", n_sites)
     if n_sites < least:
         raise BellkitError(f"site count must be at least {least}")
     if n_sites > max_sites:
         raise CapExceededError(
             f"{what} capped at {max_sites} sites, got {n_sites}"
         )
+    return n_sites

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from . import hadamard
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_sites
+from .limits import RECORD_MAX_SITES, check_integer, check_sites
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +126,9 @@ class UVIndex:
 
     def __post_init__(self) -> None:
         check_sites("family construction", self.n_sites, RECORD_MAX_SITES)
+        if type(self.u) is not int or type(self.v) is not int:
+            check_integer("u", self.u)
+            check_integer("v", self.v)
         limit = 1 << (1 << (self.n_sites - 1))
         if not (0 <= self.u < limit and 0 <= self.v < limit):
             raise BellkitError(

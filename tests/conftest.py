@@ -20,6 +20,7 @@ from bellkit.inequality import (
     CoefficientVector,
     StandardForm,
     _as_vector,
+    _relabelings,
     setting_digits,
     standard_form,
 )
@@ -77,6 +78,45 @@ def scan_census(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     N = 4 (65,536 codes). Returns (zero counts, histogram).
     """
     return kernels.classify_batch(np.arange(1 << (1 << n_sites)), 1 << n_sites)
+
+
+def ea_generators(n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generators (index map g, sign row sigma) of the extended affine group EA(n).
+
+    The first 3n generate the relabeling group, read off
+    ``inequality._relabelings``: the adjacent site swaps, the translations
+    k ^ e_i, the sign rows H[e_i] and global negation. The transvection
+    k -> k ^ ((k >> 1) & 1) (n >= 2) and the swaps generate GL(n, 2).
+    """
+    index_maps, sign_rows = _relabelings(n_sites)
+    perms = list(itertools.permutations(range(n_sites)))  # the identity first
+    gens = []
+    for i in range(n_sites - 1):
+        swap = list(range(n_sites))
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        gens.append((index_maps[perms.index(tuple(swap)), 0], sign_rows[0]))
+    for i in range(n_sites):
+        gens.append((index_maps[0, 1 << i], sign_rows[0]))
+        gens.append((index_maps[0, 0], sign_rows[1 << i]))
+    gens.append((index_maps[0, 0], sign_rows[1 << n_sites]))
+    if n_sites >= 2:
+        k = np.arange(1 << n_sites)
+        gens.append((k ^ ((k >> 1) & 1), sign_rows[0]))
+    return gens
+
+
+def code_image(codes: np.ndarray, g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The codes of c'(j) = sigma(j) * c(g(j)), for every sign-vector code c.
+
+    Conjugating by H swaps the translations and the sign rows, so a
+    relabeling acts on sign vectors by the same map as on coefficients;
+    the transvection is a linear change of the variables j.
+    """
+    image = np.full(codes.size, sum(1 << j for j, s in enumerate(sigma) if s < 0),
+                    dtype=codes.dtype)
+    for j, source in enumerate(g.tolist()):
+        image ^= ((codes >> source) & 1) << j
+    return image
 
 
 def signs_of_code(code: int, n_sites: int) -> tuple[int, ...]:

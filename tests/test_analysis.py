@@ -14,7 +14,7 @@ from bellkit import analysis, inequality as ineq, kernels, lhv, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from bellkit.limits import SAMPLE_MAX_SIZE
-from conftest import formula_matrix, read_golden, scan_census
+from conftest import code_image, ea_generators, formula_matrix, read_golden, scan_census
 
 
 class TestTermCount:
@@ -267,21 +267,30 @@ class TestOrbitCensus:
         analysis.classify(5, exhaustive=True)
         assert items == [1 << 16] * 8 + [64]
 
-    @pytest.mark.parametrize("which", range(10))
-    def test_corrupt_generator_is_caught(self, monkeypatch, which):
-        # one wrong sign in one three-site generator (the tenth is the
-        # transvection): no longer an element of EA(3)
-        generators = analysis._orbit_generators
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_key_is_constant_on_generator_images(self, n):
+        # each EA class lies in one key group; test_orbit_counts finds as
+        # many groups as Berlekamp & Welch find classes, so they are the classes
+        order = 1 << n
+        codes = np.arange(1 << order, dtype=np.uint32)
+        key = analysis._spectrum_key(codes, order)
+        for g, sigma in ea_generators(n):
+            image = code_image(codes, g, sigma)
+            assert np.array_equal(np.sort(image), codes)
+            assert np.array_equal(analysis._spectrum_key(image, order), key)
 
-        def corrupt(n_sites):
-            gens = generators(n_sites)
-            g, sigma = gens[which]
-            sigma = sigma.copy()
-            sigma[1] *= -1
-            gens[which] = (g, sigma)
-            return gens
-
-        monkeypatch.setattr(analysis, "_orbit_generators", corrupt)
+    @pytest.mark.parametrize("coarsen", [
+        lambda key: key * 0,
+        lambda key: key % 2,
+        lambda key: np.repeat(key[:, -1:], key.shape[1], axis=1),
+        lambda key: np.minimum(key, 1),
+    ], ids=["one-group", "parity", "smallest-abs-w", "affine-or-not"])
+    def test_coarser_key_is_caught(self, monkeypatch, coarsen):
+        # each merges three-site classes, so a representative stands for
+        # codes whose partners count differently
+        spectrum_key = analysis._spectrum_key
+        monkeypatch.setattr(analysis, "_spectrum_key",
+                            lambda codes, length: coarsen(spectrum_key(codes, length)))
         try:
             report = analysis.classify(4, exhaustive=True)
         except BellkitError:
@@ -319,6 +328,25 @@ class TestClassifyValidation:
     def test_negative_seed(self, kwargs):
         with pytest.raises(BellkitError, match="seed"):
             analysis.classify(3, seed=-1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"sample_size": 2.5}, "sample size"),
+        ({"sample_size": "10"}, "sample size"),
+        ({"sample_size": 10, "seed": 1.5}, "seed"),
+        ({"jobs": 1.5}, "jobs"),
+    ], ids=["sample-2.5", "sample-text", "seed", "jobs"])
+    def test_non_integer(self, kwargs, name):
+        # 2.5 draws were truncated to 2, "10" was parsed, seed=1.5 raised
+        # numpy's TypeError and jobs=1.5 ran
+        with pytest.raises(BellkitError, match=f"{name} must be an integer"):
+            analysis.classify(3, **kwargs)
+
+    def test_numpy_integers(self):
+        # the site count is converted before it sizes any array
+        kwargs = dict(sample_size=1000, seed=3, jobs=2)
+        as_numpy = {k: np.int16(v) for k, v in kwargs.items()}
+        assert analysis.classify(np.int64(3), **as_numpy) == analysis.classify(3, **kwargs)
+        assert analysis.classify(np.int64(3)) == analysis.classify(3)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one(self, jobs):
@@ -428,6 +456,10 @@ class TestBinomialIdentity:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_holds_exactly(self, n):
         assert analysis.verify_binomial_identity(n)
+
+    def test_numpy_site_count(self):
+        # 1 << (half - 2k) with a numpy half overflowed at eight sites
+        assert analysis.binomial_identity_sides(np.int64(8)) == analysis.binomial_identity_sides(8)
 
 
 class TestMaxB0Family:

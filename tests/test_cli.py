@@ -556,6 +556,12 @@ class TestClassifyCommand:
         assert err == ""
         assert out == read_golden("cli_classify_n5_exhaustive.json")
 
+    def test_five_site_exhaustive_text_golden(self, capsys):
+        assert cli.main(["classify", "--n", "5", "--format", "text"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == read_golden("cli_classify_n5_exhaustive.txt")
+
     def test_five_site_default_is_exhaustive(self, capsys):
         # without --sample the census is exact, not a 10^7-draw estimate
         assert cli.main(["classify", "--n", "5"]) == cli.EXIT_OK

@@ -148,6 +148,12 @@ class TestBellPolyFamily:
         with pytest.raises(BellkitError):
             poly.UVIndex(2, 0, -1)
 
+    @pytest.mark.parametrize("u, v", [(1.5, 0), (0, 1.0), ("1", 0)])
+    def test_index_must_be_an_integer(self, u, v):
+        # 1.5 and 1.0 passed the range check; "1" raised TypeError
+        with pytest.raises(BellkitError, match="must be an integer"):
+            poly.UVIndex(2, u, v)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_boundary_values(self, n):
         half = 1 << (n - 1)
