@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import hadamard, kernels, limits
 from ._numpy import np
-from .coefficients import CoefficientVector, _as_vector
+from .coefficients import CoefficientVector, _as_vector, site_count
 from .errors import BellkitError, CapExceededError
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
                      SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_integer, check_sites)
@@ -73,34 +73,6 @@ class ClassificationReport:
         return self.full_term / self.total
 
 
-def _reduce_batches(
-    batches: Iterator[np.ndarray],
-    length: int,
-    jobs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    zero = np.zeros(length, dtype=np.int64)
-    hist = np.zeros(length + 1, dtype=np.int64)
-
-    def accumulate(result) -> None:
-        z, h = result
-        np.add(zero, z, out=zero)
-        np.add(hist, h, out=hist)
-
-    if jobs <= 1:
-        for codes in batches:
-            accumulate(kernels.classify_batch(codes, length))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            window: list = []
-            for codes in batches:
-                window.append(pool.submit(kernels.classify_batch, codes, length))
-                if len(window) > jobs:
-                    accumulate(window.pop(0).result())
-            for fut in window:
-                accumulate(fut.result())
-    return zero, hist
-
-
 def _spectrum_key(codes: np.ndarray, length: int) -> np.ndarray:
     """Each code's sorted |W|, as one uint8 row of sorted (length - |W_i|) / 2.
 
@@ -123,7 +95,7 @@ def _affine_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     One ``np.unique`` over the key rows, each viewed as one 2^n-byte
     value, gives the first code and the size of every group.
     """
-    check_sites("affine classes", n_sites, MATERIALIZE_MAX_SITES, least=0)
+    n_sites = check_sites("affine classes", n_sites, MATERIALIZE_MAX_SITES, least=0)
     order = 1 << n_sites
     key = _spectrum_key(np.arange(1 << order, dtype=np.uint32), order)
     _, reps, sizes = np.unique(key.view(np.dtype((np.void, order))).ravel(),
@@ -160,21 +132,61 @@ def _orbit_census(n_sites: int) -> np.ndarray:
     return hist
 
 
+def _sample_census(length: int, total: int, seed: int, jobs: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(zero count per position, term histogram) of ``total`` seeded draws.
+
+    The codes are drawn in blocks of ``limits.CENSUS_BATCH_CODES``, so the
+    counts depend only on (total, seed). Up to ``jobs`` workers count the
+    blocks, with at most jobs + 1 blocks drawn and not yet counted.
+    """
+    rng = np.random.default_rng(seed)
+    step = limits.CENSUS_BATCH_CODES
+    # uint32 draws take the same buffered 32-bit path as int64 draws
+    # below 2^32, so the seeded sample is unchanged at half the bytes,
+    # and the kernel reads them without a copy
+    batches = (rng.integers(0, 1 << length, size=min(step, total - start),
+                            dtype=np.uint32)
+               for start in range(0, total, step))
+    zero = np.zeros(length, dtype=np.int64)
+    hist = np.zeros(length + 1, dtype=np.int64)
+
+    def accumulate(result) -> None:
+        z, h = result
+        np.add(zero, z, out=zero)
+        np.add(hist, h, out=hist)
+
+    # never more workers than batches: one batch runs on the calling thread
+    jobs = min(jobs, -(-total // step))
+    if jobs == 1:
+        for codes in batches:
+            accumulate(kernels.classify_batch(codes, length))
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            window: list = []
+            for codes in batches:
+                window.append(pool.submit(kernels.classify_batch, codes, length))
+                if len(window) > jobs:
+                    accumulate(window.pop(0).result())
+            for fut in window:
+                accumulate(fut.result())
+    return zero, hist
+
+
 def classify(
     n_sites: int,
     *,
-    exhaustive: bool | None = None,
     sample_size: int | None = None,
     seed: int = 0,
     jobs: int = 1,
 ) -> ClassificationReport:
-    """Count term statistics over the family.
+    """Count term statistics over the family, or over a seeded uniform sample of it.
 
-    Exhaustive unless a sample size is given; the exhaustive census
-    comes from the EA classes of N - 1 sites (see the module docstring).
-    The sample is drawn in fixed-size blocks, so results depend only on
-    (sample_size, seed), which is capped at ``SAMPLE_MAX_SIZE`` draws;
-    ``jobs`` workers count its blocks.
+    Without a sample size the census is exact: it comes from the EA
+    classes of N - 1 sites (see the module docstring), runs on the
+    calling thread and checks itself against ``_check_exhaustive``.
+    A sample of up to ``SAMPLE_MAX_SIZE`` draws depends only on
+    (sample_size, seed); ``jobs`` workers count its batches.
     """
     n_sites = check_sites("classification", n_sites, STREAM_MAX_SITES)
     seed, jobs = check_integer("seed", seed), check_integer("jobs", jobs)
@@ -183,49 +195,25 @@ def classify(
     if jobs < 1:
         raise BellkitError(f"jobs must be at least 1, got {jobs}")
     length = 1 << n_sites
-    if exhaustive is None:
-        exhaustive = sample_size is None
-    if exhaustive != (sample_size is None):
-        raise BellkitError("choose either exhaustive counting or a sample size")
-
-    if exhaustive:
-        total = 1 << length
-        zero = np.full(length, math.comb(length, length // 2), dtype=np.int64)
+    if sample_size is None:
         hist = _orbit_census(n_sites)
-    else:
-        total = check_integer("sample size", sample_size)
-        if total < 1:
-            raise BellkitError("sample size must be positive")
-        if total > SAMPLE_MAX_SIZE:
-            raise CapExceededError(
-                f"sample size capped at {SAMPLE_MAX_SIZE}, got {total}"
-            )
-        rng = np.random.default_rng(seed)
-        step = limits.CENSUS_BATCH_CODES
-        # uint32 draws take the same buffered 32-bit path as int64 draws
-        # below 2^32, so the seeded sample is unchanged at half the bytes,
-        # and the kernel reads them without a copy
-        batches = (rng.integers(0, 1 << length, size=min(step, total - start),
-                                dtype=np.uint32)
-                   for start in range(0, total, step))
-        # never more workers than batches: one batch runs on the calling thread
-        zero, hist = _reduce_batches(batches, length, min(jobs, -(-total // step)))
-    full = int(hist[length])
-    p = full / total
-    report = ClassificationReport(
-        n_sites=n_sites,
-        mode="exhaustive" if exhaustive else "sample",
-        total=total,
-        histogram=tuple(int(x) for x in hist),
-        full_term=full,
-        trivial_classes=length if exhaustive else None,
-        zero_counts=tuple(int(x) for x in zero),
-        seed=None if exhaustive else seed,
-        full_term_stderr=None if exhaustive else math.sqrt(p * (1 - p) / total),
-    )
-    if exhaustive:
+        report = ClassificationReport(
+            n_sites=n_sites, mode="exhaustive", total=1 << length,
+            histogram=tuple(hist.tolist()), full_term=int(hist[length]),
+            trivial_classes=length, zero_counts=(math.comb(length, length // 2),) * length)
         _check_exhaustive(report)
-    return report
+        return report
+    total = check_integer("sample size", sample_size)
+    if total < 1:
+        raise BellkitError("sample size must be positive")
+    if total > SAMPLE_MAX_SIZE:
+        raise CapExceededError(f"sample size capped at {SAMPLE_MAX_SIZE}, got {total}")
+    zero, hist = _sample_census(length, total, seed, jobs)
+    p = int(hist[length]) / total
+    return ClassificationReport(
+        n_sites=n_sites, mode="sample", total=total, histogram=tuple(hist.tolist()),
+        full_term=int(hist[length]), trivial_classes=None, zero_counts=tuple(zero.tolist()),
+        seed=seed, full_term_stderr=math.sqrt(p * (1 - p) / total))
 
 
 def _check_exhaustive(report: ClassificationReport) -> None:
@@ -238,14 +226,11 @@ def _check_exhaustive(report: ClassificationReport) -> None:
     if n in (2, 3) and 2 * report.full_term != total:
         raise BellkitError(f"full-term count must be exactly half for N={n}")
     length = 1 << n
+    # every position is zero in C(L, L/2) members
     per_position = math.comb(length, length // 2)
-    if any(z != per_position for z in report.zero_counts):
-        raise BellkitError(
-            f"every position must be zero in C({length}, {length // 2}) members"
-        )
     zeros_by_term = sum((length - t) * h for t, h in enumerate(report.histogram))
-    if zeros_by_term != sum(report.zero_counts):
-        raise BellkitError("histogram zeros disagree with the per-position zeros")
+    if zeros_by_term != length * per_position:
+        raise BellkitError(f"histogram zeros differ from {length} C({length}, {length // 2})")
     if report.histogram[1] != 2 * length:
         raise BellkitError(f"expected {2 * length} one-term members")
     # two positions k != k' are both zero in C(L/2, L/4)^2 members, since
@@ -261,7 +246,8 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
 
     Independent of k: C(2^N, 2^(N-1)) / 2^(2^N).
     """
-    check_sites("zero probability", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("zero probability", n_sites, RECORD_MAX_SITES)
+    k = check_integer("position", k)
     length = 1 << n_sites
     if not 0 <= k < length:
         raise BellkitError(f"position {k} out of range")
@@ -270,7 +256,7 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
 
 def zero_probability_asymptotic(n_sites: int) -> float:
     """Large-N estimate 1/sqrt(2^(N-1) pi) of the zero probability."""
-    check_sites("zero probability", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("zero probability", n_sites, RECORD_MAX_SITES)
     return 1.0 / math.sqrt((1 << (n_sites - 1)) * math.pi)
 
 
@@ -321,7 +307,7 @@ def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
         raise BellkitError("the construction applies from 3 sites upward")
     if k not in (0, 1):
         raise BellkitError("the repeated observable digit must be 0 or 1")
-    check_sites("family construction", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("family construction", n_sites, RECORD_MAX_SITES)
     half = 1 << (n_sites - 1)
     total = 2 * half - 1
     j = np.arange(half)
@@ -356,6 +342,7 @@ def max_b0_family(n_sites: int, k: int) -> list[BellPolynomial]:
     observable enumeration is reversed, which reverses every coefficient
     vector. The rows come from the closed form of ``max_b0_batches``.
     """
-    # row by row: the lists of a whole batch at once would raise peak memory
-    return [BellPolynomial._trusted(n_sites, tuple(row.tolist()))
+    # row by row: the lists of a whole batch at once would raise peak memory;
+    # the site count read off the row length is an int whatever type n_sites has
+    return [BellPolynomial._trusted(site_count(rows.shape[1]), tuple(row.tolist()))
             for _, rows in max_b0_batches(n_sites, k) for row in rows]

@@ -121,12 +121,12 @@ _GRID_TEXT = {
 
 def _cmd_hadamard(args) -> int:
     """Write the sign matrix a batch of rows at a time, from popcount(j AND k) parity."""
-    check_sites("dense construction", args.n, DENSE_MAX_SITES, least=0)
-    order = 1 << args.n
+    n = check_sites("dense construction", args.n, DENSE_MAX_SITES, least=0)
+    order = 1 << n
     plus, minus, sep, starts, end = _GRID_TEXT[args.format]
     cells = kernels.token_table([plus + sep, plus, minus + sep, minus])
     starts = kernels.token_table(starts)
-    head, tail = _record("hadamard", {"n": args.n, "order": order,
+    head, tail = _record("hadamard", {"n": n, "order": order,
                                       "entries": []}).split("[]")
     head, tail = {"ascii": ("", ""), "pbm": (f"P1\n{order} {order}\n", ""),
                   "json": (head + "[", "]" + tail + "\n")}[args.format]
@@ -289,13 +289,8 @@ def _cmd_singlet(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = analysis.classify(
-        args.n,
-        exhaustive=True if args.exhaustive else None,
-        sample_size=args.sample,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    report = analysis.classify(args.n, sample_size=args.sample, seed=args.seed,
+                               jobs=args.jobs)
     payload = {
         "n": report.n_sites,
         "mode": report.mode,
@@ -379,9 +374,10 @@ def _cmd_identity(args) -> int:
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_jobs, default=_default_jobs(),
-                   help="worker threads for classify; enum and verify accept "
-                        "and ignore it. At least 1 (default and upper "
-                        f"limit: the CPU count, {_default_jobs()})")
+                   help="worker threads for the batches of classify --sample; "
+                        "the exact census runs on the calling thread, and enum "
+                        "and verify accept and ignore it. At least 1 (default "
+                        f"and upper limit: the CPU count, {_default_jobs()})")
 
 
 def _add_format(p: argparse.ArgumentParser, choices=("json", "text"),
@@ -459,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="term-count census of the family")
     p.add_argument("--n", type=int, required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
+    group.add_argument("--exhaustive", action="store_true",
+                       help="the default: kept so that scripts which pass it still work")
     group.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_jobs(p)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from . import polynomial
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_sites
+from .limits import RECORD_MAX_SITES, check_integer, check_sites
 from .polynomial import BellPolynomial
 
 MINUS = "−"  # sign used by the traditional rendering
@@ -102,7 +102,8 @@ def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
 
 def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
-    check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
+    code = check_integer("code", code)
     length = 1 << n_sites
     if not 0 <= code < (1 << length):
         raise BellkitError(f"code {code} out of range for {n_sites} sites")

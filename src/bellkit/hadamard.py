@@ -104,7 +104,7 @@ def build(n_sites: int) -> HadamardMatrix:
     """Dense int8 matrix of order 2^n_sites from ``parity``, in bounded row batches."""
     from ._numpy import np
 
-    check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
+    n_sites = check_sites("dense construction", n_sites, DENSE_MAX_SITES, least=0)
     order = 1 << n_sites
     h = np.empty((order, order), dtype=np.int8)
     k = np.arange(order)

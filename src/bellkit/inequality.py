@@ -50,7 +50,7 @@ def coefficient_batches(n_sites: int, *,
     2^32 rows and must be requested explicitly with ``stream=True``.
     The checks run when the first batch is requested.
     """
-    check_sites("enumeration", n_sites, STREAM_MAX_SITES)
+    n_sites = check_sites("enumeration", n_sites, STREAM_MAX_SITES)
     if n_sites > MATERIALIZE_MAX_SITES and not stream:
         raise BellkitError(
             f"{n_sites} sites means 2^{1 << n_sites} items; pass stream=True"
@@ -70,6 +70,7 @@ def enumerate_inequalities(n_sites: int, *, stream: bool = False
     The records of ``coefficient_batches``, which takes the same
     arguments and makes the same checks.
     """
+    n_sites = check_sites("enumeration", n_sites, STREAM_MAX_SITES)
     for start, block in coefficient_batches(n_sites, stream=stream):
         for code, row in enumerate(block.tolist(), start):
             yield code, CoefficientVector._trusted(n_sites, tuple(row))

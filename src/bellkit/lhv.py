@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .coefficients import CoefficientVector, _as_vector, setting_digits
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_sites
+from .limits import RECORD_MAX_SITES, check_integer, check_sites
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,6 +52,8 @@ class DeterministicStrategy:
     values: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.n_sites) is not int:
+            object.__setattr__(self, "n_sites", check_integer("site count", self.n_sites))
         if self.n_sites < 1:
             raise BellkitError("site count must be at least 1")
         if len(self.values) != self.n_sites:
@@ -77,7 +79,8 @@ class DeterministicStrategy:
 
     @classmethod
     def decode(cls, n_sites: int, code: int) -> "DeterministicStrategy":
-        check_sites("strategy codes", n_sites, RECORD_MAX_SITES)
+        n_sites = check_sites("strategy codes", n_sites, RECORD_MAX_SITES)
+        code = check_integer("strategy code", code)
         if not 0 <= code < (1 << (2 * n_sites)):
             raise BellkitError(f"strategy code {code} out of range")
         m0 = code & ((1 << n_sites) - 1)

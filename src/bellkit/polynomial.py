@@ -49,6 +49,21 @@ from .errors import BellkitError
 from .limits import RECORD_MAX_SITES, check_integer, check_sites
 
 
+def _check_shape(record) -> None:
+    """Store the record's site count as an int and check its coefficient count.
+
+    numpy ints pass; a site count such as 2.0 or "2" is a BellkitError.
+    """
+    if type(record.n_sites) is not int:  # the common case skips a call
+        object.__setattr__(record, "n_sites", check_integer("site count", record.n_sites))
+    if record.n_sites < 1:
+        raise BellkitError("site count must be at least 1")
+    # compared by bit length: a huge n_sites never computes 1 << n_sites
+    count = len(record.coeffs)
+    if count.bit_length() != record.n_sites + 1 or count & (count - 1):
+        raise BellkitError(f"expected 2^{record.n_sites} coefficients, got {count}")
+
+
 @dataclass(frozen=True, slots=True)
 class BellPolynomial:
     """Integer polynomial of degree < 2^n_sites, stored densely."""
@@ -57,12 +72,7 @@ class BellPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise BellkitError("site count must be at least 1")
-        # compared by bit length: a huge n_sites never computes 1 << n_sites
-        count = len(self.coeffs)
-        if count.bit_length() != self.n_sites + 1 or count & (count - 1):
-            raise BellkitError(f"expected 2^{self.n_sites} coefficients, got {count}")
+        _check_shape(self)
         # map over the C-level check: records are built by the thousand
         if not all(map(int.__instancecheck__, self.coeffs)):
             raise BellkitError("coefficients must be integers")
@@ -73,7 +83,7 @@ class BellPolynomial:
         coeffs = [int(v) for v in values]
         if n_sites is None:
             n_sites = max(1, (len(coeffs) - 1).bit_length())
-        check_sites("polynomial records", n_sites, RECORD_MAX_SITES)
+        n_sites = check_sites("polynomial records", n_sites, RECORD_MAX_SITES)
         length = 1 << n_sites
         if len(coeffs) > length:
             raise BellkitError(f"{len(coeffs)} coefficients exceed degree < {length}")
@@ -126,9 +136,9 @@ class UVIndex:
 
     def __post_init__(self) -> None:
         check_sites("family construction", self.n_sites, RECORD_MAX_SITES)
-        if type(self.u) is not int or type(self.v) is not int:
-            check_integer("u", self.u)
-            check_integer("v", self.v)
+        if type(self.n_sites) is not int or type(self.u) is not int or type(self.v) is not int:
+            for name in ("n_sites", "u", "v"):
+                object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         limit = 1 << (1 << (self.n_sites - 1))
         if not (0 <= self.u < limit and 0 <= self.v < limit):
             raise BellkitError(
@@ -142,7 +152,8 @@ class UVIndex:
 
 def summand_poly(n_sites: int, k: int) -> BellPolynomial:
     """The k-th summand polynomial: even, +-1 coefficients, degree 2^N - 2."""
-    check_sites("summand construction", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("summand construction", n_sites, RECORD_MAX_SITES)
+    k = check_integer("summand index", k)
     if not 0 <= k < (1 << (n_sites - 1)):
         raise BellkitError(
             f"summand index {k} out of range for {n_sites} sites"
@@ -159,7 +170,8 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
     substitution z -> z^2 turns column k at n-1 sites into summand k at
     n sites.
     """
-    check_sites("column construction", n_sites, RECORD_MAX_SITES)
+    n_sites = check_sites("column construction", n_sites, RECORD_MAX_SITES)
+    k = check_integer("column index", k)
     length = 1 << n_sites
     if not 0 <= k < length:
         raise BellkitError(f"column index {k} out of range for {n_sites} sites")
@@ -246,11 +258,7 @@ class NormalizedBellPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise BellkitError("site count must be at least 1")
-        count = len(self.coeffs)
-        if count.bit_length() != self.n_sites + 1 or count & (count - 1):
-            raise BellkitError(f"expected 2^{self.n_sites} coefficients, got {count}")
+        _check_shape(self)
         # floats would make the |value| 1 checks inexact
         if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
             raise BellkitError("coefficients must be integers or fractions")

@@ -155,7 +155,7 @@ class TestClassifySampled:
         assert sum(reports.pop().histogram) == total
 
     @pytest.mark.parametrize("n, kwargs", [(5, dict(sample_size=(1 << 18) + 3, jobs=2)),
-                                           (4, dict(exhaustive=True))])
+                                           (4, dict())])
     def test_codes_reach_the_kernel_as_uint32(self, monkeypatch, n, kwargs):
         # drawn (or built) as uint32, so the kernel makes no copy of a batch
         _, calls = classify_calls(monkeypatch, n, **kwargs)
@@ -220,7 +220,7 @@ class TestOrbitCensus:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_scan(self, n):
         zero, hist = scan_census(n)
-        report = analysis.classify(n, exhaustive=True)
+        report = analysis.classify(n)
         assert list(report.histogram) == hist.tolist()
         assert list(report.zero_counts) == zero.tolist()
         # scalar-equivalence classes of the one-term members: their distinct positions
@@ -250,7 +250,7 @@ class TestOrbitCensus:
         assert hist.tolist() == scan_census(4)[1].tolist()
 
     def test_five_sites_exact(self):
-        report = analysis.classify(5, exhaustive=True)
+        report = analysis.classify(5)
         assert {t: c for t, c in enumerate(report.histogram) if c} == FIVE_SITE_HISTOGRAM
         assert report.full_term == 2181005312 and report.trivial_classes == 32
         assert set(report.zero_counts) == {math.comb(32, 16)}
@@ -264,7 +264,7 @@ class TestOrbitCensus:
             return classify_batch(codes, length)
 
         monkeypatch.setattr(kernels, "classify_batch", spy)
-        analysis.classify(5, exhaustive=True)
+        analysis.classify(5)
         assert items == [1 << 16] * 8 + [64]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -292,7 +292,7 @@ class TestOrbitCensus:
         monkeypatch.setattr(analysis, "_spectrum_key",
                             lambda codes, length: coarsen(spectrum_key(codes, length)))
         try:
-            report = analysis.classify(4, exhaustive=True)
+            report = analysis.classify(4)
         except BellkitError:
             return
         assert list(report.histogram) != scan_census(4)[1].tolist()
@@ -313,18 +313,11 @@ class TestClassifyValidation:
         with pytest.raises(CapExceededError):
             analysis.classify(3, sample_size=SAMPLE_MAX_SIZE + 1)
 
-    def test_conflicting_modes(self):
-        with pytest.raises(BellkitError):
-            analysis.classify(3, exhaustive=True, sample_size=10)
-        # without a size there is nothing to sample
-        with pytest.raises(BellkitError, match="sample size"):
-            analysis.classify(5, exhaustive=False)
-
     def test_bad_sample_size(self):
         with pytest.raises(BellkitError):
             analysis.classify(5, sample_size=0)
 
-    @pytest.mark.parametrize("kwargs", [{"sample_size": 10}, {"exhaustive": True}])
+    @pytest.mark.parametrize("kwargs", [{"sample_size": 10}, {}])
     def test_negative_seed(self, kwargs):
         with pytest.raises(BellkitError, match="seed"):
             analysis.classify(3, seed=-1, **kwargs)
@@ -365,12 +358,6 @@ def moved(histogram, *moves):
 
 
 class TestExhaustiveIdentities:
-    def test_per_position_zero_count(self):
-        r = analysis.classify(3)
-        zeros = (r.zero_counts[0] + 1, r.zero_counts[1] - 1) + r.zero_counts[2:]
-        with pytest.raises(BellkitError, match="every position"):
-            analysis._check_exhaustive(dataclasses.replace(r, zero_counts=zeros))
-
     def test_histogram_zero_total(self):
         # same population, same one-term bin, one zero fewer in total
         r = analysis.classify(3)

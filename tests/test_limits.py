@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from bellkit import analysis, hadamard, inequality as ineq
+from bellkit import analysis, hadamard, inequality as ineq, lhv, polynomial as poly
 from bellkit.errors import BellkitError
 from bellkit.limits import check_sites
 
@@ -26,3 +28,51 @@ class TestSiteCountType:
     def test_integer_types_pass(self, n):
         assert check_sites("test", n, 5, least=1) == int(n)
         assert type(check_sites("test", n, 5, least=1)) is int
+
+
+# (site count, build): one record built from a site count
+RECORDS = {
+    "BellPolynomial": (2, lambda n: poly.BellPolynomial(n, (1, 1, 1, 1))),
+    "CoefficientVector": (2, lambda n: ineq.CoefficientVector(n, (1, 1, 1, -1))),
+    "NormalizedBellPolynomial": (2, lambda n: poly.NormalizedBellPolynomial(
+        n, (Fraction(1, 2),) * 3 + (Fraction(-1, 2),))),
+    "DeterministicStrategy": (2, lambda n: lhv.DeterministicStrategy(n, ((1, 1), (1, -1)))),
+    "bell_poly": (7, lambda n: poly.bell_poly(poly.UVIndex(n, 1, 2))),
+    "summand_poly": (3, lambda n: poly.summand_poly(n, 1)),
+    "max_b0_family": (3, lambda n: analysis.max_b0_family(n, 0)[0]),
+    "bowtie": (1, lambda n: poly.bowtie(poly.BellPolynomial(n, (1, 1)),
+                                        poly.BellPolynomial(n, (2, 0)))),
+}
+
+
+class TestRecordSiteCount:
+    @pytest.mark.parametrize("n, build", RECORDS.values(), ids=RECORDS)
+    def test_stored_as_int(self, n, build):
+        # 2.0 was stored, and a numpy site count reached n_sites and,
+        # through 1 << n_sites, half the coefficients of bell_poly
+        with pytest.raises(BellkitError, match="site count must be an integer, got"):
+            build(float(n))
+        want = build(n)
+        for as_numpy in (np.int64(n), np.uint8(n)):
+            record = build(as_numpy)
+            assert record == want and type(record.n_sites) is int
+            assert ([type(c) for c in getattr(record, "coeffs", ())]
+                    == [type(c) for c in getattr(want, "coeffs", ())])
+
+
+class TestIndexType:
+    @pytest.mark.parametrize("call", [
+        lambda k: analysis.zero_probability(3, k),
+        lambda k: poly.summand_poly(3, k),
+        lambda k: poly.column_poly(3, k),
+        lambda k: ineq.sign_vector_from_code(k, 2),
+        lambda k: lhv.DeterministicStrategy.decode(2, k),
+    ], ids=["zero_probability", "summand_poly", "column_poly", "sign_vector_from_code",
+            "decode"])
+    def test_non_integer_is_rejected(self, call):
+        # zero_probability(3, 1.5) answered for a position that does not
+        # exist; the other calls raised a bare TypeError
+        for bad in (1.5, "1"):
+            with pytest.raises(BellkitError, match="must be an integer, got"):
+                call(bad)
+        assert call(np.int64(1)) == call(1)
