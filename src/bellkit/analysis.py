@@ -288,6 +288,10 @@ def max_b0_pair(p: int) -> tuple[int, int]:
     p > 0, a copy of that bit (bit 0 of u must stay zero). The N-site
     family is pairs 0 .. 2^N - 2.
     """
+    if type(p) is not int:  # the common case skips a call
+        p = check_integer("pair index", p)
+    if p < 0:
+        raise BellkitError(f"pair index must be nonnegative, got {p}")
     v = 1 << ((p + 1) // 2)
     return (v if p and p % 2 == 0 else 0), v
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from . import polynomial
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_integer, check_sites
+from .limits import RECORD_MAX_SITES, check_integer, check_integers, check_sites
 from .polynomial import BellPolynomial
 
 MINUS = "−"  # sign used by the traditional rendering
@@ -57,10 +57,10 @@ class CoefficientVector(BellPolynomial):
     @classmethod
     def from_ints(cls, values: Iterable[int],
                   n_sites: int | None = None) -> "CoefficientVector":
-        """Build from a plain sequence; without n_sites its length must be 2^N."""
+        """Build from integers; without n_sites there must be 2^N of them."""
         if n_sites is not None:
             return super().from_ints(values, n_sites)
-        coeffs = tuple(int(v) for v in values)
+        coeffs = tuple(check_integers("coefficients", values))
         return cls(site_count(len(coeffs)), coeffs)
 
 
@@ -97,6 +97,8 @@ def _as_vector(v: BellPolynomial | Sequence[int]) -> CoefficientVector:
 
 def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
     """Per-site observable digits of index k, site 1 first."""
+    if type(k) is not int or type(n_sites) is not int:  # the common case skips the calls
+        k, n_sites = check_integer("index", k), check_integer("site count", n_sites)
     return tuple((k >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
 
 

@@ -138,16 +138,18 @@ def _relabelings(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orbit_blocks(v: CoefficientVector) -> tuple[int, Iterator[np.ndarray]]:
-    """The gcd of v and the orbit of v / gcd, one site permutation at a time.
+    """The gcd of v and the orbit of v / gcd, whole site permutations at a time.
 
-    Each block holds the 2^(n+1) * 2^n images under one site permutation
-    combined with every translation and sign row (repeats included).
+    Each block stacks the 2^(n+1) * 2^n images under every translation
+    and sign row (repeats included) of as many site permutations as fit
+    in ``limits.OUTPUT_BATCH_CELLS`` entries, at least one: 1 block at
+    three sites, 3 at four, 120 at five.
     """
     check_sites("symmetry orbits", v.n_sites, ORBIT_MAX_SITES)
     g = math.gcd(*v.coeffs)
     reduced = [c // g for c in v.coeffs]
     # every image entry and row sum is bounded by sum |b_k|
-    if sum(abs(c) for c in reduced) >= 1 << 63:
+    if sum(map(abs, reduced)) >= 1 << 63:
         raise BellkitError(
             "symmetry orbits need the sum of |coefficients| / gcd below 2^63"
         )
@@ -156,8 +158,9 @@ def _orbit_blocks(v: CoefficientVector) -> tuple[int, Iterator[np.ndarray]]:
     # an image sums to +-(H b)[a] for some a, and every a occurs
     if not np.all(sign_rows @ b):
         raise BellkitError("coefficient sum is zero: not a Bell inequality")
-    blocks = ((sign_rows[:, None, :] * b[perm_maps][None]).reshape(-1, len(b))
-              for perm_maps in index_maps)
+    step = max(1, limits.OUTPUT_BATCH_CELLS // (sign_rows.size * len(b)))
+    blocks = ((sign_rows[None, :, None, :] * b[index_maps[start:start + step]][:, None])
+              .reshape(-1, len(b)) for start in range(0, len(index_maps), step))
     return g, blocks
 
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .coefficients import CoefficientVector, _as_vector, setting_digits
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_integer, check_sites
+from .limits import RECORD_MAX_SITES, check_integer, check_integers, check_sites
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,9 +58,11 @@ class DeterministicStrategy:
             raise BellkitError("site count must be at least 1")
         if len(self.values) != self.n_sites:
             raise BellkitError(f"expected {self.n_sites} value pairs")
-        for pair in self.values:
-            if len(pair) != 2 or any(x not in (-1, 1) for x in pair):
-                raise BellkitError("strategy values must be +1 or -1")
+        # stored as plain ints: numpy ints pass, 1.0 is an error
+        values = tuple(tuple(check_integers("strategy values", pair)) for pair in self.values)
+        if not all(len(pair) == 2 and {*pair} <= {-1, 1} for pair in values):
+            raise BellkitError("strategy values must be +1 or -1")
+        object.__setattr__(self, "values", values)
 
     def encode(self) -> int:
         """Pack into 2N bits: low-N mask for observable 0, high-N for 1.
@@ -119,7 +121,7 @@ def max_lhv(v: CoefficientVector | Sequence[int], *, jobs: int = 1) -> int:
     check_sites("strategy search", v.n_sites, RECORD_MAX_SITES)
     # a contract limit, not an arithmetic one: the contraction is exact for
     # any integers, but ``verify`` has always refused larger inputs
-    if sum(abs(c) for c in v.coeffs) >= 1 << 63:
+    if sum(map(abs, v.coeffs)) >= 1 << 63:
         raise BellkitError(
             "strategy search needs the sum of |coefficients| below 2^63"
         )
@@ -150,6 +152,8 @@ class SingletSetup:
 
 def singlet_expectation(setup: SingletSetup, i: int, j: int) -> float:
     """Product expectation -cos(theta_i - eta_j); +1 on the diagonal."""
+    if type(i) is not int or type(j) is not int:
+        i, j = check_integer("angle index", i), check_integer("angle index", j)
     if not (0 <= i <= 2 and 0 <= j <= 2):
         raise BellkitError("angle indices must lie in 0..2")
     return -math.cos(setup.thetas[i] - setup.etas[j])

@@ -48,6 +48,14 @@ def check_integer(what: str, value: object) -> int:
         raise BellkitError(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_integers(what: str, values) -> list[int]:
+    """Every value as an int by ``operator.index``, in one map: ``check_integer`` for a sequence."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise BellkitError(f"{what} must be integers") from None
+
+
 def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> int:
     """n_sites as an int; raise unless least <= n_sites <= max_sites.
 

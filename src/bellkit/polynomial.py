@@ -31,9 +31,17 @@ are H sigma(1 - v) and the odd ones H sigma v. Writing W(c) for the
 
     B_(u,v) = interleave(W(u) + W(u XOR v), W(u) - W(u XOR v)) / 2,
 
-even coefficients first; ``bell_poly`` computes exactly this from the
-row masks of ``hadamard.sylvester_masks``. ``gen`` reads the N-site
-transform of a code with halves a and b off B_(a, a XOR b).
+even coefficients first. With d_c,i = popcount(c XOR r_i), r_i the row
+masks of ``hadamard.sylvester_masks``, that is the row F(a, b) of the
+pairs (2^(N-1) - d_a,i - d_b,i, d_b,i - d_a,i) for a = u, b = u XOR v.
+F is a term in a plus a term in b, so it is one vector sum of two half
+spectra, B_(u,v) = P(u) + M(u XOR v), with P(a) = F(a, 0) - F(0, 0) and
+M(b) = F(0, b). Up to ``MATERIALIZE_MAX_SITES`` sites (halves of at most
+8 bits) ``bell_poly`` adds P and M from per-length tables of at most 256
+rows each, built on first use; above that it computes F(a, b) on every
+call and caches nothing, since one 14-site row alone holds 2^14 ints.
+``gen`` reads the N-site transform of a code with halves a and b off
+B_(a, a XOR b).
 
 ``BellPolynomial`` is also the base of the coefficient-vector records in
 ``coefficients``: an inequality is a Bell polynomial with B(1) != 0.
@@ -41,12 +49,15 @@ Everything here uses exact integer (or dyadic rational) arithmetic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import hadamard
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_integer, check_sites
+from .limits import (MATERIALIZE_MAX_SITES, RECORD_MAX_SITES, check_integer,
+                     check_integers, check_sites)
 
 
 def _check_shape(record) -> None:
@@ -79,8 +90,11 @@ class BellPolynomial:
 
     @classmethod
     def from_ints(cls, values, n_sites: int | None = None) -> "BellPolynomial":
-        """Build from ascending coefficients, zero-padding to length 2^n."""
-        coeffs = [int(v) for v in values]
+        """Build from ascending integers, zero-padding to length 2^n.
+
+        numpy ints pass; floats and strings are a BellkitError.
+        """
+        coeffs = check_integers("coefficients", values)
         if n_sites is None:
             n_sites = max(1, (len(coeffs) - 1).bit_length())
         n_sites = check_sites("polynomial records", n_sites, RECORD_MAX_SITES)
@@ -93,13 +107,19 @@ class BellPolynomial:
     @classmethod
     def _trusted(cls, n_sites: int, coeffs: tuple[int, ...]) -> "BellPolynomial":
         """Build without any check: only for rows valid by construction."""
+        # the slot descriptors bypass the frozen __setattr__, and they are
+        # inherited by every record subtype
         record = object.__new__(cls)
-        object.__setattr__(record, "n_sites", n_sites)
-        object.__setattr__(record, "coeffs", coeffs)
+        _set_sites(record, n_sites)
+        _set_coeffs(record, coeffs)
         return record
 
     def __str__(self) -> str:
         return render(self.coeffs)
+
+
+_set_sites = BellPolynomial.n_sites.__set__
+_set_coeffs = BellPolynomial.coeffs.__set__
 
 
 def term(c: int, label: str, first: bool, plus: str = "+", minus: str = "-") -> str:
@@ -134,20 +154,28 @@ class UVIndex:
     u: int
     v: int
 
-    def __post_init__(self) -> None:
-        check_sites("family construction", self.n_sites, RECORD_MAX_SITES)
-        if type(self.n_sites) is not int or type(self.u) is not int or type(self.v) is not int:
-            for name in ("n_sites", "u", "v"):
-                object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        limit = 1 << (1 << (self.n_sites - 1))
-        if not (0 <= self.u < limit and 0 <= self.v < limit):
-            raise BellkitError(
-                f"u and v must lie in [0, {limit}) for {self.n_sites} sites"
-            )
+    def __init__(self, n_sites: int, u: int, v: int) -> None:
+        # exact ints in range, the common case, skip the calls; the slot
+        # descriptors bypass the frozen __setattr__
+        if not (type(n_sites) is int and type(u) is int and type(v) is int
+                and 1 <= n_sites <= RECORD_MAX_SITES):
+            n_sites = check_sites("family construction", n_sites, RECORD_MAX_SITES)
+            u, v = check_integer("u", u), check_integer("v", v)
+        limit = 1 << (1 << (n_sites - 1))
+        if not (0 <= u < limit and 0 <= v < limit):
+            raise BellkitError(f"u and v must lie in [0, {limit}) for {n_sites} sites")
+        _set_index_sites(self, n_sites)
+        _set_u(self, u)
+        _set_v(self, v)
 
     @property
     def summands(self) -> int:
         return 1 << (self.n_sites - 1)
+
+
+_set_index_sites = UVIndex.n_sites.__set__
+_set_u = UVIndex.u.__set__
+_set_v = UVIndex.v.__set__
 
 
 def summand_poly(n_sites: int, k: int) -> BellPolynomial:
@@ -179,6 +207,29 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
     return BellPolynomial(n_sites, coeffs)
 
 
+def _member_row(a: int, b: int, half: int) -> tuple[int, ...]:
+    """F(a, b): the pairs (half - d_a,i - d_b,i, d_b,i - d_a,i), d_c,i = popcount(c XOR r_i)."""
+    coeffs = []
+    for r in hadamard.sylvester_masks(half):
+        da, db = (a ^ r).bit_count(), (b ^ r).bit_count()
+        coeffs += (half - da - db, db - da)
+    return tuple(coeffs)
+
+
+@functools.cache
+def _half_tables(n_sites: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The half spectra P(a) = F(a, 0) - F(0, 0) and M(b) = F(0, b) of every half code.
+
+    F is a term in a plus a term in b, so P(a) + M(b) = F(a, b). At most
+    256 rows of 16 ints each, for halves of at most 8 bits.
+    """
+    half = 1 << (n_sites - 1)
+    zero = _member_row(0, 0, half)
+    codes = range(1 << half)
+    return (tuple(tuple(map(sub, _member_row(c, 0, half), zero)) for c in codes),
+            tuple(_member_row(0, c, half) for c in codes))
+
+
 def bell_poly(index: UVIndex) -> BellPolynomial:
     """Family member for (u, v): signed summands, shifted onto odd powers.
 
@@ -189,15 +240,18 @@ def bell_poly(index: UVIndex) -> BellPolynomial:
 
     with W(c)[i] = 2^(N-1) - 2 d_c, d_c = popcount(c XOR r_i) the Hamming
     distance to row mask r_i. Halved, the pair (2i, 2i + 1) is
-    (2^(N-1) - d_a - d_b, d_b - d_a) for a = u and b = u XOR v.
+    (2^(N-1) - d_a - d_b, d_b - d_a) for a = u and b = u XOR v: the row
+    F(a, b) of ``_member_row``. Up to ``MATERIALIZE_MAX_SITES`` sites it
+    is the sum P(a) + M(b) of two tabulated half spectra.
     """
-    half = index.summands
-    a, b = index.u, index.u ^ index.v
-    coeffs = []
-    for r in hadamard.sylvester_masks(half):
-        da, db = (a ^ r).bit_count(), (b ^ r).bit_count()
-        coeffs += (half - da - db, db - da)
-    return BellPolynomial._trusted(index.n_sites, tuple(coeffs))
+    n, a = index.n_sites, index.u
+    b = a ^ index.v
+    if n <= MATERIALIZE_MAX_SITES:
+        p_table, m_table = _half_tables(n)
+        coeffs = tuple(map(add, p_table[a], m_table[b]))
+    else:
+        coeffs = _member_row(a, b, 1 << (n - 1))
+    return BellPolynomial._trusted(n, coeffs)
 
 
 def evaluate(p: BellPolynomial, z):
@@ -245,8 +299,8 @@ def bowtie(a: BellPolynomial, b: BellPolynomial) -> BellPolynomial:
         raise BellkitError(
             "operands must have equal |value at 1|; pre-scale one of them"
         )
-    sums = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-    diffs = tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    sums = tuple(map(add, a.coeffs, b.coeffs))
+    diffs = tuple(map(sub, a.coeffs, b.coeffs))
     return type(a)(a.n_sites + 1, sums + diffs)
 
 

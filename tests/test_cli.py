@@ -401,6 +401,13 @@ class TestPolyCommand:
         out = run_cli("poly", "s", "--n", "3", "--k", "3")
         assert json.loads(out.stdout)["payload"]["poly"] == "1-z^2-z^4+z^6"
 
+    @pytest.mark.parametrize("n, u, v", [(4, 173, 58), (5, 51966, 4660)],
+                             ids=["tabulated", "per-call"])
+    def test_buv_golden_bytes(self, n, u, v, capsys):
+        argv = ["poly", "buv", "--n", str(n), "--u", str(u), "--v", str(v)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == read_golden(f"cli_poly_buv_n{n}.json")
+
     def test_bowtie_golden_bytes(self):
         out = run_cli("poly", "bowtie", "--n", "2",
                       "--a", "1,1,1,-1", "--b", "1,-1,-1,-1")

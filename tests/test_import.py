@@ -60,6 +60,18 @@ class TestNoNumpy:
         assert run(code) == "False\n"
 
 
+class TestLazyTables:
+    def test_half_spectrum_tables_are_built_on_first_use(self):
+        # one pair of tables (P and M) for the four-site call, none for the five-site one
+        code = ("import bellkit; from bellkit import polynomial as p; "
+                "sizes = [p._half_tables.cache_info().currsize]; "
+                "p.bell_poly(p.UVIndex(5, 3, 5)); "
+                "sizes.append(p._half_tables.cache_info().currsize); "
+                "p.bell_poly(p.UVIndex(4, 3, 5)); "
+                "sizes.append(p._half_tables.cache_info().currsize); print(sizes)")
+        assert run(code) == "[0, 0, 1]\n"
+
+
 @needs_proc
 class TestBlasThreads:
     def test_fresh_import_starts_no_thread(self):

@@ -481,6 +481,24 @@ class TestRelabelingOracle:
                 checked += 1
         assert checked >= 20
 
+    @pytest.mark.parametrize("cells", [1, 1 << 30], ids=["one-permutation", "one-block"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_size_is_invisible(self, monkeypatch, n, cells):
+        monkeypatch.setattr(limits, "OUTPUT_BATCH_CELLS", cells)
+        rng = np.random.default_rng(n)
+        for code in rng.integers(0, 1 << (1 << n), 4):
+            v = ineq.from_sign_vector(signs_of_code(int(code), n))
+            assert ineq.canonical(v) == bfs_canonical(v)
+
+    @pytest.mark.parametrize("n, blocks", [(3, 1), (4, 3), (5, 120)])
+    def test_blocks_stack_whole_permutations(self, n, blocks):
+        # one block per site permutation was 6 blocks at three sites, 24 at four
+        v = ineq.from_sign_vector(signs_of_code(0x9E3779B9 % (1 << (1 << n)), n))
+        sizes = [block.size for block in ineq._orbit_blocks(v)[1]]
+        assert len(sizes) == blocks
+        assert max(sizes) <= max(limits.OUTPUT_BATCH_CELLS, 2 ** (3 * n + 1))
+        assert sum(sizes) == math.factorial(n) * 2 ** (3 * n + 1)
+
     def test_huge_multiple_keeps_exact_integers(self):
         big = ineq.CoefficientVector(2, tuple((1 << 70) * c for c in CHSH.coeffs))
         assert ineq.symmetry_orbit(big) == bfs_orbit(big)

@@ -48,6 +48,15 @@ class TestStrategyType:
         with pytest.raises(BellkitError):
             lhv.DeterministicStrategy(1, ((1, 0),))
 
+    def test_values_stored_as_int(self):
+        # numpy ints were stored as given, and 1.0 passed the +-1 check
+        s = lhv.DeterministicStrategy(2, ((np.int64(1), np.int8(-1)), [1, True]))
+        assert s == lhv.DeterministicStrategy(2, ((1, -1), (1, 1)))
+        assert all(type(x) is int for pair in s.values for x in pair)
+        for bad in (1.0, "1", None):
+            with pytest.raises(BellkitError, match="strategy values must be integers"):
+                lhv.DeterministicStrategy(1, ((bad, 1),))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_encode_decode_round_trip(self, n):
         for code in range(1 << (2 * n)):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import analysis, hadamard, inequality as ineq, lhv, polynomial as poly
+from bellkit import analysis, coefficients, hadamard, inequality as ineq, lhv
+from bellkit import polynomial as poly
 from bellkit.errors import BellkitError
 from bellkit.limits import check_sites
 
@@ -67,8 +68,16 @@ class TestIndexType:
         lambda k: poly.column_poly(3, k),
         lambda k: ineq.sign_vector_from_code(k, 2),
         lambda k: lhv.DeterministicStrategy.decode(2, k),
+        lambda k: hadamard.gf2_dot(k, 3),
+        lambda k: hadamard.entry(3, k),
+        lambda k: hadamard.build(2).entry(k, 3),
+        lambda k: coefficients.setting_digits(k, 2),
+        lambda k: coefficients.setting_digits(3, k),
+        lambda k: analysis.max_b0_pair(k),
+        lambda k: lhv.singlet_expectation(lhv.SingletSetup(), k, 0),
     ], ids=["zero_probability", "summand_poly", "column_poly", "sign_vector_from_code",
-            "decode"])
+            "decode", "gf2_dot", "entry", "HadamardMatrix.entry", "setting_digits",
+            "setting_digits-sites", "max_b0_pair", "singlet_expectation"])
     def test_non_integer_is_rejected(self, call):
         # zero_probability(3, 1.5) answered for a position that does not
         # exist; the other calls raised a bare TypeError
@@ -76,3 +85,26 @@ class TestIndexType:
             with pytest.raises(BellkitError, match="must be an integer, got"):
                 call(bad)
         assert call(np.int64(1)) == call(1)
+
+    def test_negative_pair_index(self):
+        # a negative shift count: ValueError
+        with pytest.raises(BellkitError, match="pair index must be nonnegative, got -3"):
+            analysis.max_b0_pair(-3)
+
+
+class TestCoefficientType:
+    @pytest.mark.parametrize("call", [
+        poly.BellPolynomial.from_ints,
+        ineq.CoefficientVector.from_ints,
+        lhv.max_lhv,
+    ], ids=["BellPolynomial.from_ints", "CoefficientVector.from_ints", "max_lhv"])
+    def test_non_integer_is_rejected(self, call):
+        # from_ints truncated with int(): [1.5, 1, 1, -1] was (1, 1, 1, -1)
+        for bad in ([1.5, 1, 1, -1], [1.0, 1, 1, -1], ["1", 1, 1, -1], [Fraction(1), 1]):
+            with pytest.raises(BellkitError, match="coefficients must be integers"):
+                call(bad)
+        want = call([3, 1, 1, -1])
+        got = call(np.array([3, 1, 1, -1]))
+        assert got == want
+        assert [type(c) for c in getattr(got, "coeffs", ())] == [int] * len(
+            getattr(want, "coeffs", ()))

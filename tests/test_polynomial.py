@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from bellkit import inequality as ineq
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
-from conftest import poly_from_factors, poly_mul, read_golden, signs_of_code
+from bellkit.limits import MATERIALIZE_MAX_SITES
+from conftest import butterfly, poly_from_factors, poly_mul, read_golden, signs_of_code
 
 
 def family_indices(n):
@@ -509,6 +512,46 @@ class TestBellPolyExpansion:
             u, v = rng.getrandbits(half), rng.getrandbits(half)
             got = poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
             assert got == member_by_expansion(n, u, v), (u, v)
+
+
+class TestBellPolyPaths:
+    """The tabulated half spectra (N <= MATERIALIZE_MAX_SITES) and the per-call ones.
+
+    The digests were frozen from the fused row-mask loop that ``bell_poly``
+    ran before it summed P(u) + M(u XOR v): the sha256 of every member's
+    comma-separated coefficients, one line each, over every (u, v) pair in
+    order up to four sites and over 16 pairs drawn from
+    random.Random(f"bell_poly {N}") above.
+    """
+
+    DIGESTS = json.loads(read_golden("bell_poly_sha256.json"))
+
+    @staticmethod
+    def pairs(n):
+        if n <= MATERIALIZE_MAX_SITES:
+            return family_indices(n)
+        rng = random.Random(f"bell_poly {n}")
+        half = 1 << (n - 1)
+        return [(rng.getrandbits(half), rng.getrandbits(half)) for _ in range(16)]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_digest(self, n):
+        digest = hashlib.sha256()
+        for u, v in self.pairs(n):
+            coeffs = poly.bell_poly(poly.UVIndex(n, u, v)).coeffs
+            digest.update((",".join(map(str, coeffs)) + "\n").encode())
+        assert digest.hexdigest() == self.DIGESTS[str(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 14])
+    def test_against_butterfly(self, n):
+        # the member with halves a and b is H c / 2, even powers first
+        rng = random.Random(f"butterfly {n}")
+        half = 1 << (n - 1)
+        for _ in range(4):
+            a, b = rng.getrandbits(half), rng.getrandbits(half)
+            member = poly.bell_poly(poly.UVIndex(n, a, a ^ b)).coeffs
+            want = butterfly(signs_of_code(a | b << half, n))
+            assert tuple(2 * x for x in member[0::2] + member[1::2]) == want
 
 
 class TestSignCombinationSum:
