@@ -9,6 +9,10 @@ counts). Validation problems produce a machine-readable error record on
 stderr and exit code 2; usage errors exit with 64. Text-style formats
 (ascii grids, shorthand, traditional notation, tables) print plain
 lines instead of records.
+
+Every command that prints one record ends in ``_out``, the one switch
+between ``--format json`` and ``--format text``. ``hadamard``, ``enum``
+and ``construct`` stream their output a batch at a time instead.
 """
 from __future__ import annotations
 
@@ -62,12 +66,10 @@ def _record(command: str, body: dict, part: str = "payload") -> str:
                  {"schema_version": SCHEMA_VERSION, "command": command, part: body})
 
 
-def _emit(command: str, payload: dict) -> None:
-    print(_record(command, payload))
-
-
-def _emit_error(command: str, message: str) -> None:
-    print(_record(command, {"message": message}, "error"), file=sys.stderr)
+def _out(args, payload: dict, text) -> int:
+    """Print text() for ``--format text``, else payload as one record; JSON never calls text."""
+    print(text() if args.format == "text" else _record(args.command, payload))
+    return EXIT_OK
 
 
 def _parse_int(text: str) -> int:
@@ -151,11 +153,7 @@ def _cmd_gen(args) -> int:
                "bound": inequality.bound(v), "terms": analysis.term_count(v),
                "standard_form": list(sf.coeffs),
                "standard_bound": inequality.bound(sf)}
-    if args.format == "text":
-        print(inequality.to_traditional(sf))
-    else:
-        _emit("gen", payload)
-    return EXIT_OK
+    return _out(args, payload, lambda: inequality.to_traditional(sf))
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,7 +174,7 @@ def _enum_text(n: int, start: int, block: np.ndarray, fmt: str) -> str:
 
     Every entry, row sum and term count lies in [-2^n, 2^n], as in every
     family member and its standard form, so each is one token of
-    ``_number_tokens``; JSON lines are the text ``_emit`` prints.
+    ``_number_tokens``; JSON lines are ``_record``'s text.
     """
     shift = 1 << n
     numbers = _number_tokens(n)
@@ -204,88 +202,67 @@ def _cmd_enum(args) -> int:
     return EXIT_OK
 
 
-def _poly_out(args, command: str, payload: dict, poly: polynomial.BellPolynomial) -> int:
-    if args.format == "text":
-        print(_text(str, poly))
-    else:
-        payload["coeffs"] = list(poly.coeffs)
-        payload["poly"] = _text(str, poly)
-        _emit(command, payload)
-    return EXIT_OK
+def _cmd_poly_buv(args) -> int:
+    poly = polynomial.bell_poly(polynomial.UVIndex(args.n, args.u, args.v))
+    payload = {"n": args.n, "u": args.u, "v": args.v, "coeffs": list(poly.coeffs),
+               "poly": _text(str, poly)}
+    return _out(args, payload, lambda: payload["poly"])
 
 
-def _cmd_poly(args) -> int:
-    if args.poly_command == "buv":
-        index = polynomial.UVIndex(args.n, args.u, args.v)
-        poly = polynomial.bell_poly(index)
-        return _poly_out(args, "poly", {"n": args.n, "u": args.u, "v": args.v}, poly)
-    if args.poly_command == "s":
-        poly = polynomial.summand_poly(args.n, args.k)
-        return _poly_out(args, "poly", {"n": args.n, "k": args.k}, poly)
-    if args.poly_command == "bowtie":
-        a = _parse_coeffs(args.a, polynomial.BellPolynomial)
-        b = _parse_coeffs(args.b, polynomial.BellPolynomial)
-        if args.n is not None and a.n_sites != args.n:
-            raise BellkitError(
-                f"--a has {a.n_sites} sites, but --n {args.n} was given"
-            )
-        poly = polynomial.bowtie(a, b)
-        return _poly_out(args, "poly", {"n": poly.n_sites}, poly)
-    # eval
+def _cmd_poly_s(args) -> int:
+    poly = polynomial.summand_poly(args.n, args.k)
+    payload = {"n": args.n, "k": args.k, "coeffs": list(poly.coeffs),
+               "poly": _text(str, poly)}
+    return _out(args, payload, lambda: payload["poly"])
+
+
+def _cmd_poly_bowtie(args) -> int:
+    a = _parse_coeffs(args.a, polynomial.BellPolynomial)
+    b = _parse_coeffs(args.b, polynomial.BellPolynomial)
+    if args.n is not None and a.n_sites != args.n:
+        raise BellkitError(
+            f"--a has {a.n_sites} sites, but --n {args.n} was given"
+        )
+    poly = polynomial.bowtie(a, b)
+    payload = {"n": poly.n_sites, "coeffs": list(poly.coeffs), "poly": _text(str, poly)}
+    return _out(args, payload, lambda: payload["poly"])
+
+
+def _cmd_poly_eval(args) -> int:
     poly = _parse_coeffs(args.coeffs, polynomial.BellPolynomial)
     try:
         z = Fraction(args.z)
     except (ValueError, ZeroDivisionError):
         raise BellkitError(f"not a rational number: {args.z!r}") from None
     value = _text(str, Fraction(polynomial.evaluate(poly, z)))
-    payload = {"coeffs": list(poly.coeffs), "z": str(z), "value": value}
-    if args.format == "text":
-        print(payload["value"])
-    else:
-        _emit("poly", payload)
-    return EXIT_OK
+    return _out(args, {"coeffs": list(poly.coeffs), "z": str(z), "value": value},
+                lambda: value)
 
 
 def _cmd_verify(args) -> int:
     v = _parse_coeffs(args.coeffs)
-    claimed = args.bound if args.bound is not None else inequality.bound(v)
+    bound = inequality.bound(v)
+    claimed = bound if args.bound is None else args.bound
     maximum = lhv.max_lhv(v)
-    payload = {
-        "n": v.n_sites,
-        "coeffs": list(v.coeffs),
-        "bound": inequality.bound(v),
-        "claimed_bound": claimed,
-        "max_lhv": maximum,
-        "tight": maximum == claimed,
-    }
-    if args.format == "text":
-        print(f"max_lhv {maximum}, claimed {claimed}, "
-              f"tight {'true' if payload['tight'] else 'false'}")
-    else:
-        _emit("verify", payload)
-    return EXIT_OK
+    tight = maximum == claimed
+    payload = {"n": v.n_sites, "coeffs": list(v.coeffs), "bound": bound,
+               "claimed_bound": claimed, "max_lhv": maximum, "tight": tight}
+    return _out(args, payload, lambda: (
+        f"max_lhv {maximum}, claimed {claimed}, tight {'true' if tight else 'false'}"))
 
 
 def _cmd_singlet(args) -> int:
     setup = lhv.SingletSetup()
     table = lhv.expectation_table(setup, phi=args.phi)
-    if args.format == "text":
-        print(f"phi = {args.phi:.6f}")
-        header = "      " + "  ".join(f"j={j}    " for j in range(3))
-        print(header.rstrip())
-        for i in range(3):
-            row = "  ".join(f"{table[i, j]:+.4f}" for j in range(3))
-            print(f"i={i}  {row}")
-        print(f"mean = {table.mean():+.2e}")
-    else:
-        _emit("singlet", {
-            "phi": args.phi,
-            "thetas": list(setup.thetas),
-            "etas": list(setup.etas),
-            "table": table.tolist(),
-            "mean": table.mean(),
-        })
-    return EXIT_OK
+    payload = {"phi": args.phi, "thetas": list(setup.thetas), "etas": list(setup.etas),
+               "table": table.tolist(), "mean": table.mean()}
+
+    def text() -> str:
+        rows = (f"i={i}  " + "  ".join(f"{x:+.4f}" for x in row) for i, row in enumerate(table))
+        return "\n".join([f"phi = {args.phi:.6f}", "      j=0      j=1      j=2", *rows,
+                          f"mean = {payload['mean']:+.2e}"])
+
+    return _out(args, payload, text)
 
 
 def _cmd_classify(args) -> int:
@@ -304,20 +281,20 @@ def _cmd_classify(args) -> int:
     if report.mode == "sample":
         payload["seed"] = report.seed
         payload["full_term_stderr"] = report.full_term_stderr
-    if args.format == "text":
-        print(f"n={report.n_sites} mode={report.mode} total={report.total}")
+
+    def text() -> str:
         spread = ("" if report.full_term_stderr is None
                   else f" +- {report.full_term_stderr:.6f}")
-        print(f"full-term: {report.full_term} "
-              f"({report.full_term_fraction:.6f}{spread})")
-        if report.trivial_classes is not None:
-            print(f"trivial classes: {report.trivial_classes}")
-        nonzero = {t: c for t, c in enumerate(report.histogram) if c}
-        print("terms histogram: " + ", ".join(f"{t}: {c}" for t, c in nonzero.items()))
-        print("zero counts: " + ", ".join(str(c) for c in report.zero_counts))
-    else:
-        _emit("classify", payload)
-    return EXIT_OK
+        trivial = ([] if report.trivial_classes is None
+                   else [f"trivial classes: {report.trivial_classes}"])
+        nonzero = ", ".join(f"{t}: {c}" for t, c in enumerate(report.histogram) if c)
+        return "\n".join([
+            f"n={report.n_sites} mode={report.mode} total={report.total}",
+            f"full-term: {report.full_term} ({report.full_term_fraction:.6f}{spread})",
+            *trivial, f"terms histogram: {nonzero}",
+            "zero counts: " + ", ".join(map(str, report.zero_counts))])
+
+    return _out(args, payload, text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,7 +314,7 @@ def _cmd_construct(args) -> int:
     k = 1, so that term is one string and the others come from
     ``_sign_terms``. u is 0 or v, and v = 2^i (up to 2,466 digits) serves
     two pairs, so each distinct number becomes decimal text once per
-    batch; the lines equal those of ``_emit`` and ``str``.
+    batch; the lines equal those of ``_record`` and ``str``.
     """
     n, k = args.n, args.k
     for start, rows in analysis.max_b0_batches(n, k):
@@ -362,12 +339,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_identity(args) -> int:
     lhs, rhs = analysis.binomial_identity_sides(args.n)
-    if args.format == "text":
-        print(f"{lhs} == {rhs}: {'true' if lhs == rhs else 'false'}")
-    else:
-        _emit("identity", {"n": args.n, "lhs": lhs, "rhs": rhs,
-                           "equal": lhs == rhs})
-    return EXIT_OK
+    equal = lhs == rhs
+    return _out(args, {"n": args.n, "lhs": lhs, "rhs": rhs, "equal": equal},
+                lambda: f"{lhs} == {rhs}: {'true' if equal else 'false'}")
 
 
 # -- parser wiring ------------------------------------------------------------
@@ -418,26 +392,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--u", type=int, required=True)
     q.add_argument("--v", type=int, required=True)
     _add_format(q)
-    q.set_defaults(handler=_cmd_poly)
+    q.set_defaults(handler=_cmd_poly_buv)
 
     q = poly_sub.add_parser("s", help="summand polynomial")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     _add_format(q)
-    q.set_defaults(handler=_cmd_poly)
+    q.set_defaults(handler=_cmd_poly_s)
 
     q = poly_sub.add_parser("bowtie", help="lift two polynomials one site up")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--a", required=True, help="comma-separated coefficients")
     q.add_argument("--b", required=True, help="comma-separated coefficients")
     _add_format(q)
-    q.set_defaults(handler=_cmd_poly)
+    q.set_defaults(handler=_cmd_poly_bowtie)
 
     q = poly_sub.add_parser("eval", help="exact evaluation at a rational point")
     q.add_argument("--coeffs", required=True)
     q.add_argument("--z", required=True, help="rational, e.g. 2, -1, 1/2")
     _add_format(q)
-    q.set_defaults(handler=_cmd_poly)
+    q.set_defaults(handler=_cmd_poly_eval)
 
     p = sub.add_parser("verify", help="brute-force LHV bound of a vector")
     p.add_argument("--coeffs", required=True)
@@ -487,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BellkitError as exc:
-        _emit_error(args.command, str(exc))
+        print(_record(args.command, {"message": str(exc)}, "error"), file=sys.stderr)
         return EXIT_INVALID
     except BrokenPipeError:
         return EXIT_OK

@@ -96,9 +96,12 @@ def _as_vector(v: BellPolynomial | Sequence[int]) -> CoefficientVector:
 
 
 def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
-    """Per-site observable digits of index k, site 1 first."""
-    if type(k) is not int or type(n_sites) is not int:  # the common case skips the calls
-        k, n_sites = check_integer("index", k), check_integer("site count", n_sites)
+    """Per-site observable digits of index k in [0, 2^n_sites), site 1 first."""
+    n_sites = check_sites("setting digits", n_sites, RECORD_MAX_SITES, least=0)
+    if type(k) is not int:  # the common case skips the call
+        k = check_integer("index", k)
+    if not 0 <= k < 1 << n_sites:
+        raise BellkitError(f"index {k} out of range for {n_sites} sites")
     return tuple((k >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
 
 

@@ -51,6 +51,12 @@ def check_integer(what: str, value: object) -> int:
 def check_integers(what: str, values) -> list[int]:
     """Every value as an int by ``operator.index``, in one map: ``check_integer`` for a sequence."""
     try:
+        values = iter(values)
+    except TypeError:
+        raise BellkitError(
+            f"{what} must be a sequence of integers, got {type(values).__name__}"
+        ) from None
+    try:
         return list(map(operator.index, values))
     except TypeError:
         raise BellkitError(f"{what} must be integers") from None

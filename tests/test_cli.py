@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from bellkit import analysis, cli, hadamard, inequality, kernels, limits
+from bellkit import analysis, cli, hadamard, inequality, kernels, lhv, limits
 from bellkit import polynomial as poly
 from conftest import GOLDEN, read_golden, traditional_text
 
@@ -861,6 +861,76 @@ class TestBoundarySweep:
         if LEAVES[path].get_default("format") == "json":
             for line in out.splitlines():
                 json.loads(line, parse_constant=reject)
+
+
+# the golden stdout of every format of every leaf that prints one record;
+# None marks ``singlet``, whose floats come from the platform's math.cos
+SINGLE_RECORDS = {
+    "gen --n 2 --c 0b0001": "cli_gen_chsh.json",
+    "gen --n 2 --c 0b0001 --format text": "cli_gen_chsh.txt",
+    "poly buv --n 4 --u 173 --v 58": "cli_poly_buv_n4.json",
+    "poly buv --n 4 --u 173 --v 58 --format text": "cli_poly_buv_n4.txt",
+    "poly s --n 3 --k 3": "cli_poly_s_n3.json",
+    "poly s --n 3 --k 3 --format text": "cli_poly_s_n3.txt",
+    "poly bowtie --n 2 --a 1,1,1,-1 --b 1,-1,-1,-1": "cli_poly_bowtie_mabk.json",
+    "poly bowtie --n 2 --a 1,1,1,-1 --b 1,-1,-1,-1 --format text": "cli_poly_bowtie_mabk.txt",
+    "poly eval --coeffs 1,1,1,-1 --z 2": "cli_poly_eval_chsh.json",
+    "poly eval --coeffs 1,1,1,-1 --z 2 --format text": "cli_poly_eval_chsh.txt",
+    "verify --coeffs 1,1,1,-1": "cli_verify_chsh.json",
+    "verify --coeffs 1,1,1,-1 --format text": "cli_verify_chsh.txt",
+    "singlet --phi 0.3": None,
+    "singlet --phi 0.3 --format text": None,
+    "classify --n 5": "cli_classify_n5_exhaustive.json",
+    "classify --n 5 --format text": "cli_classify_n5_exhaustive.txt",
+    "classify --n 5 --sample 1 --seed 1 --format text": "cli_classify_n5_sample1.txt",
+    "identity --n 3": "cli_identity_n3.json",
+    "identity --n 3 --format text": "cli_identity_n3.txt",
+}
+
+
+def _singlet_stdout(argv):
+    """``singlet``'s stdout, laid out here from ``lhv.expectation_table``."""
+    phi = float(argv[argv.index("--phi") + 1])
+    setup = lhv.SingletSetup()
+    table = lhv.expectation_table(setup, phi=phi)
+    if "text" not in argv:
+        return json.dumps({"schema_version": 1, "command": "singlet", "payload": {
+            "phi": phi, "thetas": list(setup.thetas), "etas": list(setup.etas),
+            "table": table.tolist(), "mean": table.mean()}}) + "\n"
+    return "".join([f"phi = {phi:.6f}\n", "      j=0      j=1      j=2\n",
+                    *(f"i={i}  {row[0]:+.4f}  {row[1]:+.4f}  {row[2]:+.4f}\n"
+                      for i, row in enumerate(table)),
+                    f"mean = {table.mean():+.2e}\n"])
+
+
+class TestSingleRecordOutput:
+    """Byte-exact stdout of the commands that print one record, in each format."""
+
+    def test_every_format_of_every_single_record_leaf_has_an_entry(self, capsys):
+        # a leaf prints one record when its baseline prints one line
+        want = set()
+        for path, leaf in LEAVES.items():
+            assert cli.main([*path, *BASELINES[path]]) == cli.EXIT_OK
+            if capsys.readouterr().out.count("\n") == 1:
+                formats = leaf._option_string_actions["--format"].choices
+                want |= {(path, fmt) for fmt in formats}
+        have = set()
+        for command in SINGLE_RECORDS:
+            argv = command.split()
+            path = next(p for p in LEAVES if tuple(argv[:len(p)]) == p)
+            fmt = (argv[argv.index("--format") + 1] if "--format" in argv
+                   else LEAVES[path].get_default("format"))
+            have.add((path, fmt))
+        assert have == want
+
+    @pytest.mark.parametrize("command", SINGLE_RECORDS)
+    def test_stdout(self, command, capsys):
+        argv = command.split()
+        assert cli.main(argv) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        golden = SINGLE_RECORDS[command]
+        assert out == (_singlet_stdout(argv) if golden is None else read_golden(golden))
 
 
 class TestNegativeValues:

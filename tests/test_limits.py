@@ -72,7 +72,7 @@ class TestIndexType:
         lambda k: hadamard.entry(3, k),
         lambda k: hadamard.build(2).entry(k, 3),
         lambda k: coefficients.setting_digits(k, 2),
-        lambda k: coefficients.setting_digits(3, k),
+        lambda k: coefficients.setting_digits(1, k),
         lambda k: analysis.max_b0_pair(k),
         lambda k: lhv.singlet_expectation(lhv.SingletSetup(), k, 0),
     ], ids=["zero_probability", "summand_poly", "column_poly", "sign_vector_from_code",
@@ -85,6 +85,21 @@ class TestIndexType:
             with pytest.raises(BellkitError, match="must be an integer, got"):
                 call(bad)
         assert call(np.int64(1)) == call(1)
+
+    @pytest.mark.parametrize("k, n", [(-1, 2), (4, 2), (1, 0), (1 << 14, 14)])
+    def test_setting_digits_index_out_of_range(self, k, n):
+        # -1 and 4 gave (1, 1) and (0, 0) at two sites
+        with pytest.raises(BellkitError, match=f"^index {k} out of range for {n} sites$"):
+            coefficients.setting_digits(k, n)
+        assert coefficients.setting_digits((1 << n) - 1, n) == (1,) * n
+
+    @pytest.mark.parametrize("n, error", [(-1, "site count must be at least 0"),
+                                          (15, "setting digits capped at 14 sites, got 15")],
+                             ids=["negative", "past-cap"])
+    def test_setting_digits_site_count_out_of_range(self, n, error):
+        # -1 gave () and 15 a tuple of 15 digits; 10^20 would not return
+        with pytest.raises(BellkitError, match=f"^{error}$"):
+            coefficients.setting_digits(0, n)
 
     def test_negative_pair_index(self):
         # a negative shift count: ValueError
@@ -108,3 +123,16 @@ class TestCoefficientType:
         assert got == want
         assert [type(c) for c in getattr(got, "coeffs", ())] == [int] * len(
             getattr(want, "coeffs", ()))
+
+    @pytest.mark.parametrize("call, what", [
+        (poly.BellPolynomial.from_ints, "coefficients"),
+        (ineq.CoefficientVector.from_ints, "coefficients"),
+        (lhv.max_lhv, "coefficients"),
+        (lambda pair: lhv.DeterministicStrategy(1, (pair,)), "strategy values"),
+    ], ids=["BellPolynomial.from_ints", "CoefficientVector.from_ints", "max_lhv",
+            "DeterministicStrategy"])
+    def test_non_sequence_is_rejected(self, call, what):
+        # each said "... must be integers", as for a sequence that holds 1.5
+        with pytest.raises(BellkitError,
+                           match=f"^{what} must be a sequence of integers, got int$"):
+            call(5)
