@@ -45,7 +45,7 @@ from ._numpy import np
 from .coefficients import CoefficientVector, _as_vector, site_count
 from .errors import BellkitError, CapExceededError
 from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
-                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_integer, check_sites)
+                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_index, check_integer, check_sites)
 from .polynomial import BellPolynomial
 
 
@@ -247,10 +247,8 @@ def zero_probability(n_sites: int, k: int = 0) -> Fraction:
     Independent of k: C(2^N, 2^(N-1)) / 2^(2^N).
     """
     n_sites = check_sites("zero probability", n_sites, RECORD_MAX_SITES)
-    k = check_integer("position", k)
     length = 1 << n_sites
-    if not 0 <= k < length:
-        raise BellkitError(f"position {k} out of range")
+    check_index("position", k, length)
     return Fraction(math.comb(length, length // 2), 1 << length)
 
 
@@ -288,8 +286,7 @@ def max_b0_pair(p: int) -> tuple[int, int]:
     p > 0, a copy of that bit (bit 0 of u must stay zero). The N-site
     family is pairs 0 .. 2^N - 2.
     """
-    if type(p) is not int:  # the common case skips a call
-        p = check_integer("pair index", p)
+    p = check_integer("pair index", p)
     if p < 0:
         raise BellkitError(f"pair index must be nonnegative, got {p}")
     v = 1 << ((p + 1) // 2)

@@ -26,13 +26,12 @@ the family (enumeration, batch text, the relabeling group) is
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from . import polynomial
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_integer, check_integers, check_sites
+from .limits import RECORD_MAX_SITES, check_index, check_integers, check_sites
 from .polynomial import BellPolynomial
 
 MINUS = "−"  # sign used by the traditional rendering
@@ -98,20 +97,15 @@ def _as_vector(v: BellPolynomial | Sequence[int]) -> CoefficientVector:
 def setting_digits(k: int, n_sites: int) -> tuple[int, ...]:
     """Per-site observable digits of index k in [0, 2^n_sites), site 1 first."""
     n_sites = check_sites("setting digits", n_sites, RECORD_MAX_SITES, least=0)
-    if type(k) is not int:  # the common case skips the call
-        k = check_integer("index", k)
-    if not 0 <= k < 1 << n_sites:
-        raise BellkitError(f"index {k} out of range for {n_sites} sites")
+    k = check_index("index", k, 1 << n_sites)
     return tuple((k >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
 
 
 def sign_vector_from_code(code: int, n_sites: int) -> tuple[int, ...]:
     """Decode a bitmask into the sign vector c (bit j set -> c_j = -1)."""
     n_sites = check_sites("sign vectors", n_sites, RECORD_MAX_SITES)
-    code = check_integer("code", code)
     length = 1 << n_sites
-    if not 0 <= code < (1 << length):
-        raise BellkitError(f"code {code} out of range for {n_sites} sites")
+    code = check_index("code", code, 1 << length)
     return tuple(1 - 2 * ((code >> j) & 1) for j in range(length))
 
 
@@ -122,12 +116,12 @@ def from_sign_vector(c: Sequence[int]) -> CoefficientVector:
     codes of the halves of c it is [W(a) + W(b), W(a) - W(b)], twice
     ``polynomial.bell_poly`` of (u, v) = (a, a XOR b), even powers first.
     """
-    signs = tuple(c)
+    signs = check_integers("sign vector entries", c)
     n = (len(signs) - 1).bit_length()
     if len(signs) < 2 or len(signs) != 1 << n:
         raise BellkitError("sign vector length must be a power of two >= 2")
     check_sites("sign vectors", n, RECORD_MAX_SITES)
-    if not all(isinstance(x, numbers.Real) and x in (1, -1) for x in signs):
+    if not {*signs} <= {1, -1}:
         raise BellkitError("sign vector entries must be +1 or -1")
     code = int("".join("1" if x == -1 else "0" for x in reversed(signs)), 2)
     half = len(signs) // 2

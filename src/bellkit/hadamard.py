@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import limits
 from .errors import BellkitError
-from .limits import DENSE_MAX_SITES, check_integer, check_sites
+from .limits import DENSE_MAX_SITES, check_index, check_integer, check_sites
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,8 +41,7 @@ if TYPE_CHECKING:
 
 def gf2_dot(j: int, k: int) -> int:
     """GF(2) scalar product of the binary expansions: popcount(j & k) mod 2."""
-    if type(j) is not int or type(k) is not int:  # the common case skips the calls
-        j, k = check_integer("index", j), check_integer("index", k)
+    j, k = check_integer("index", j), check_integer("index", k)
     if j < 0 or k < 0:
         raise BellkitError("indices must be nonnegative")
     return (j & k).bit_count() & 1
@@ -95,13 +94,7 @@ class HadamardMatrix:
 
     def entry(self, j: int, k: int) -> int:
         """Single entry, computed on demand with bounds checking."""
-        if type(j) is not int or type(k) is not int:
-            j, k = check_integer("index", j), check_integer("index", k)
-        if not (0 <= j < self.order and 0 <= k < self.order):
-            raise BellkitError(
-                f"index ({j}, {k}) out of range for order {self.order}"
-            )
-        return entry(j, k)
+        return entry(check_index("row", j, self.order), check_index("column", k, self.order))
 
 
 def build(n_sites: int) -> HadamardMatrix:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .coefficients import CoefficientVector, _as_vector, setting_digits
 from .errors import BellkitError
-from .limits import RECORD_MAX_SITES, check_integer, check_integers, check_sites
+from .limits import RECORD_MAX_SITES, check_index, check_integer, check_integers, check_sites
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,14 +52,17 @@ class DeterministicStrategy:
     values: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if type(self.n_sites) is not int:
-            object.__setattr__(self, "n_sites", check_integer("site count", self.n_sites))
+        object.__setattr__(self, "n_sites", check_integer("site count", self.n_sites))
         if self.n_sites < 1:
             raise BellkitError("site count must be at least 1")
-        if len(self.values) != self.n_sites:
-            raise BellkitError(f"expected {self.n_sites} value pairs")
         # stored as plain ints: numpy ints pass, 1.0 is an error
-        values = tuple(tuple(check_integers("strategy values", pair)) for pair in self.values)
+        try:
+            values = tuple(tuple(check_integers("strategy values", pair)) for pair in self.values)
+        except TypeError:  # self.values is not iterable
+            raise BellkitError("strategy values must be a sequence of pairs, "
+                               f"got {type(self.values).__name__}") from None
+        if len(values) != self.n_sites:
+            raise BellkitError(f"expected {self.n_sites} value pairs")
         if not all(len(pair) == 2 and {*pair} <= {-1, 1} for pair in values):
             raise BellkitError("strategy values must be +1 or -1")
         object.__setattr__(self, "values", values)
@@ -82,9 +85,7 @@ class DeterministicStrategy:
     @classmethod
     def decode(cls, n_sites: int, code: int) -> "DeterministicStrategy":
         n_sites = check_sites("strategy codes", n_sites, RECORD_MAX_SITES)
-        code = check_integer("strategy code", code)
-        if not 0 <= code < (1 << (2 * n_sites)):
-            raise BellkitError(f"strategy code {code} out of range")
+        code = check_index("strategy code", code, 1 << (2 * n_sites))
         m0 = code & ((1 << n_sites) - 1)
         m1 = code >> n_sites
         values = []
@@ -152,10 +153,7 @@ class SingletSetup:
 
 def singlet_expectation(setup: SingletSetup, i: int, j: int) -> float:
     """Product expectation -cos(theta_i - eta_j); +1 on the diagonal."""
-    if type(i) is not int or type(j) is not int:
-        i, j = check_integer("angle index", i), check_integer("angle index", j)
-    if not (0 <= i <= 2 and 0 <= j <= 2):
-        raise BellkitError("angle indices must lie in 0..2")
+    i, j = check_index("angle index", i, 3), check_index("angle index", j, 3)
     return -math.cos(setup.thetas[i] - setup.etas[j])
 
 

@@ -42,10 +42,23 @@ OUTPUT_BATCH_CELLS = 1 << 16
 
 def check_integer(what: str, value: object) -> int:
     """value as an int by ``operator.index``: numpy ints pass, 2.0 and "2" are a BellkitError."""
+    if type(value) is int:  # the common case skips the call
+        return value
     try:
         return operator.index(value)
     except TypeError:
         raise BellkitError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_index(what: str, value: object, stop: int) -> int:
+    """value as an int in [0, stop), the one index-range check; otherwise a BellkitError."""
+    value = check_integer(what, value)
+    if not 0 <= value < stop:
+        # 2^(2^14), the code count at the record cap, has more digits than str() prints
+        if stop > 1 << 64 and not stop & (stop - 1):
+            stop = f"2^{stop.bit_length() - 1}"
+        raise BellkitError(f"{what} {value} out of range [0, {stop})")
+    return value
 
 
 def check_integers(what: str, values) -> list[int]:
@@ -70,8 +83,7 @@ def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> int:
     a BellkitError, too many a CapExceededError, and a site count that
     is not an integer a BellkitError.
     """
-    if type(n_sites) is not int:  # the common case skips a call
-        n_sites = check_integer("site count", n_sites)
+    n_sites = check_integer("site count", n_sites)
     if n_sites < least:
         raise BellkitError(f"site count must be at least {least}")
     if n_sites > max_sites:

@@ -56,8 +56,8 @@ from operator import add, sub
 
 from . import hadamard
 from .errors import BellkitError
-from .limits import (MATERIALIZE_MAX_SITES, RECORD_MAX_SITES, check_integer,
-                     check_integers, check_sites)
+from .limits import (MATERIALIZE_MAX_SITES, RECORD_MAX_SITES, check_index,
+                     check_integer, check_integers, check_sites)
 
 
 def _check_shape(record) -> None:
@@ -65,8 +65,7 @@ def _check_shape(record) -> None:
 
     numpy ints pass; a site count such as 2.0 or "2" is a BellkitError.
     """
-    if type(record.n_sites) is not int:  # the common case skips a call
-        object.__setattr__(record, "n_sites", check_integer("site count", record.n_sites))
+    object.__setattr__(record, "n_sites", check_integer("site count", record.n_sites))
     if record.n_sites < 1:
         raise BellkitError("site count must be at least 1")
     # compared by bit length: a huge n_sites never computes 1 << n_sites
@@ -181,11 +180,7 @@ _set_v = UVIndex.v.__set__
 def summand_poly(n_sites: int, k: int) -> BellPolynomial:
     """The k-th summand polynomial: even, +-1 coefficients, degree 2^N - 2."""
     n_sites = check_sites("summand construction", n_sites, RECORD_MAX_SITES)
-    k = check_integer("summand index", k)
-    if not 0 <= k < (1 << (n_sites - 1)):
-        raise BellkitError(
-            f"summand index {k} out of range for {n_sites} sites"
-        )
+    k = check_index("summand index", k, 1 << (n_sites - 1))
     coeffs = [0] * (1 << n_sites)
     coeffs[0::2] = (hadamard.entry(j, k) for j in range(1 << (n_sites - 1)))
     return BellPolynomial(n_sites, tuple(coeffs))
@@ -199,10 +194,8 @@ def column_poly(n_sites: int, k: int) -> BellPolynomial:
     n sites.
     """
     n_sites = check_sites("column construction", n_sites, RECORD_MAX_SITES)
-    k = check_integer("column index", k)
     length = 1 << n_sites
-    if not 0 <= k < length:
-        raise BellkitError(f"column index {k} out of range for {n_sites} sites")
+    k = check_index("column index", k, length)
     coeffs = tuple(hadamard.entry(j, k) for j in range(length))
     return BellPolynomial(n_sites, coeffs)
 

@@ -711,6 +711,10 @@ class TestSiteCaps:
          f"classification capped at 5 sites, got {'9' * 20}"),
         (("construct", "max-b0", "--n", "9" * 20, "--k", "0"),
          f"family construction capped at 14 sites, got {'9' * 20}"),
+        # indices past their range: limits.check_index
+        (("gen", "--n", "2", "--c", "16"), "code 16 out of range [0, 16)"),
+        (("gen", "--n", "14", "--c", "-1"), "code -1 out of range [0, 2^16384)"),
+        (("poly", "s", "--n", "3", "--k", "4"), "summand index 4 out of range [0, 4)"),
     ])
     def test_checked_before_allocation(self, args, message):
         out = subprocess.run(BASE + list(args), capture_output=True, text=True,

@@ -177,6 +177,15 @@ class TestApply:
         with pytest.raises(BellkitError):
             inequality.from_sign_vector([1, 2])
 
+    def test_entries_are_integers(self):
+        # numbers.Real let 1.0 through as +1
+        for bad in (1.0, np.float64(1.0)):
+            with pytest.raises(BellkitError, match="^sign vector entries must be integers$"):
+                inequality.from_sign_vector([bad, 1, 1, -1])
+        want = inequality.from_sign_vector([1, 1, 1, -1])
+        got = inequality.from_sign_vector([np.int64(x) for x in (1, 1, 1, -1)])
+        assert got == want and [type(c) for c in got.coeffs] == [int] * 4
+
     def test_butterfly_matches_dense_product(self):
         # 100 seeded random sign vectors at each size, 1 through 10 sites
         rng = np.random.default_rng(42)

@@ -57,6 +57,12 @@ class TestStrategyType:
             with pytest.raises(BellkitError, match="strategy values must be integers"):
                 lhv.DeterministicStrategy(1, ((bad, 1),))
 
+    def test_values_not_a_sequence(self):
+        # len(5) raised a bare TypeError
+        with pytest.raises(BellkitError,
+                           match="^strategy values must be a sequence of pairs, got int$"):
+            lhv.DeterministicStrategy(1, 5)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_encode_decode_round_trip(self, n):
         for code in range(1 << (2 * n)):

@@ -61,35 +61,58 @@ class TestRecordSiteCount:
                     == [type(c) for c in getattr(want, "coeffs", ())])
 
 
+# (call of one integer argument, its name in errors, stop): every index-taking
+# call, with the stop of its range; None where the range has no upper end or
+# the argument is a site count
+INDEX_CALLS = {
+    "zero_probability": (lambda k: analysis.zero_probability(3, k), "position", 8),
+    "summand_poly": (lambda k: poly.summand_poly(3, k), "summand index", 4),
+    "column_poly": (lambda k: poly.column_poly(3, k), "column index", 8),
+    "sign_vector_from_code": (lambda k: ineq.sign_vector_from_code(k, 2), "code", 16),
+    "decode": (lambda k: lhv.DeterministicStrategy.decode(2, k), "strategy code", 16),
+    "gf2_dot": (lambda k: hadamard.gf2_dot(k, 3), "index", None),
+    "entry": (lambda k: hadamard.entry(3, k), "index", None),
+    "HadamardMatrix.entry": (lambda k: hadamard.build(2).entry(k, 3), "row", 4),
+    "HadamardMatrix.entry-column": (lambda k: hadamard.build(2).entry(3, k), "column", 4),
+    "setting_digits": (lambda k: coefficients.setting_digits(k, 2), "index", 4),
+    "setting_digits-sites": (lambda k: coefficients.setting_digits(1, k), "site count", None),
+    "max_b0_pair": (analysis.max_b0_pair, "pair index", None),
+    "singlet_expectation": (lambda k: lhv.singlet_expectation(lhv.SingletSetup(), k, 0),
+                            "angle index", 3),
+    "singlet_expectation-eta": (lambda k: lhv.singlet_expectation(lhv.SingletSetup(), 0, k),
+                                "angle index", 3),
+}
+RANGED_CALLS = {name: row for name, row in INDEX_CALLS.items() if row[2] is not None}
+
+
 class TestIndexType:
-    @pytest.mark.parametrize("call", [
-        lambda k: analysis.zero_probability(3, k),
-        lambda k: poly.summand_poly(3, k),
-        lambda k: poly.column_poly(3, k),
-        lambda k: ineq.sign_vector_from_code(k, 2),
-        lambda k: lhv.DeterministicStrategy.decode(2, k),
-        lambda k: hadamard.gf2_dot(k, 3),
-        lambda k: hadamard.entry(3, k),
-        lambda k: hadamard.build(2).entry(k, 3),
-        lambda k: coefficients.setting_digits(k, 2),
-        lambda k: coefficients.setting_digits(1, k),
-        lambda k: analysis.max_b0_pair(k),
-        lambda k: lhv.singlet_expectation(lhv.SingletSetup(), k, 0),
-    ], ids=["zero_probability", "summand_poly", "column_poly", "sign_vector_from_code",
-            "decode", "gf2_dot", "entry", "HadamardMatrix.entry", "setting_digits",
-            "setting_digits-sites", "max_b0_pair", "singlet_expectation"])
-    def test_non_integer_is_rejected(self, call):
+    @pytest.mark.parametrize("call, what, stop", INDEX_CALLS.values(), ids=INDEX_CALLS)
+    def test_non_integer_is_rejected(self, call, what, stop):
         # zero_probability(3, 1.5) answered for a position that does not
         # exist; the other calls raised a bare TypeError
         for bad in (1.5, "1"):
-            with pytest.raises(BellkitError, match="must be an integer, got"):
+            with pytest.raises(BellkitError, match=f"^{what} must be an integer, got"):
                 call(bad)
         assert call(np.int64(1)) == call(1)
+
+    @pytest.mark.parametrize("call, what, stop", RANGED_CALLS.values(), ids=RANGED_CALLS)
+    def test_out_of_range_is_rejected(self, call, what, stop):
+        # limits.check_index: one rule and one message for every index
+        for bad in (-1, stop):
+            with pytest.raises(BellkitError,
+                               match=rf"^{what} {bad} out of range \[0, {stop}\)$"):
+                call(bad)
+        assert call(stop - 1) is not None
+
+    def test_huge_stop_is_written_as_a_power(self):
+        # in decimal, 2^(2^14) has more digits than str() prints: a ValueError
+        with pytest.raises(BellkitError, match=r"^code -1 out of range \[0, 2\^16384\)$"):
+            ineq.sign_vector_from_code(-1, 14)
 
     @pytest.mark.parametrize("k, n", [(-1, 2), (4, 2), (1, 0), (1 << 14, 14)])
     def test_setting_digits_index_out_of_range(self, k, n):
         # -1 and 4 gave (1, 1) and (0, 0) at two sites
-        with pytest.raises(BellkitError, match=f"^index {k} out of range for {n} sites$"):
+        with pytest.raises(BellkitError, match=rf"^index {k} out of range \[0, {1 << n}\)$"):
             coefficients.setting_digits(k, n)
         assert coefficients.setting_digits((1 << n) - 1, n) == (1,) * n
 
