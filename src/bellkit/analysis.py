@@ -26,10 +26,8 @@ alike, so the term count of the pair is unchanged, and the histogram
 is the sum over the EA classes C of (N-1)-site codes of |C| times the
 census of the 2^(2^(N-1)) partners of one representative: 8 partner
 sums of 65,536 codes at N = 5 (Berlekamp & Welch's eight classes; the
-relabeling group leaves 39). The classes are the groups of codes with
-the same sorted |W|, found with one ``np.unique``: the key is an EA
-invariant, and up to four variables it separates the classes. XOR
-with a row mask permutes the codes, so every zero count is
+relabeling group leaves 39), read from the table ``_AFFINE_CLASSES``.
+XOR with a row mask permutes the codes, so every zero count is
 C(2^N, 2^(N-1)).
 """
 from __future__ import annotations
@@ -44,8 +42,8 @@ from . import hadamard, kernels, limits
 from ._numpy import np
 from .coefficients import CoefficientVector, _as_vector, site_count
 from .errors import BellkitError, CapExceededError
-from .limits import (IDENTITY_MAX_SITES, MATERIALIZE_MAX_SITES, RECORD_MAX_SITES,
-                     SAMPLE_MAX_SIZE, STREAM_MAX_SITES, check_index, check_integer, check_sites)
+from .limits import (IDENTITY_MAX_SITES, RECORD_MAX_SITES, SAMPLE_MAX_SIZE, STREAM_MAX_SITES,
+                     check_index, check_integer, check_sites, int_text)
 from .polynomial import BellPolynomial
 
 
@@ -73,40 +71,19 @@ class ClassificationReport:
         return self.full_term / self.total
 
 
-def _spectrum_key(codes: np.ndarray, length: int) -> np.ndarray:
-    """Each code's sorted |W|, as one uint8 row of sorted (length - |W_i|) / 2.
-
-    Entry i of the Walsh spectrum is length - 2 d_i, with d_i =
-    popcount(c XOR r_i) the distance to Sylvester row mask r_i, so
-    min(d_i, length - d_i) is (length - |W_i|) / 2. EA(n) permutes and
-    signs W, so the sorted row is the same for every code of a class.
-    """
-    masks = np.array(hadamard.sylvester_masks(length), dtype=codes.dtype)
-    d = np.bitwise_count(codes[:, None] ^ masks)
-    return np.sort(np.minimum(d, length - d), axis=1)
-
-
-def _affine_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest code, size) of every EA(n) class of n-site sign-vector codes, in code order.
-
-    The codes are grouped by ``_spectrum_key``, an EA(n) invariant that
-    up to four variables also tells the classes apart: 1, 2, 3 and 8 of
-    them (Berlekamp & Welch, IEEE Trans. Inf. Theory 18 (1972) 203).
-    One ``np.unique`` over the key rows, each viewed as one 2^n-byte
-    value, gives the first code and the size of every group.
-    """
-    n_sites = check_sites("affine classes", n_sites, MATERIALIZE_MAX_SITES, least=0)
-    order = 1 << n_sites
-    key = _spectrum_key(np.arange(1 << order, dtype=np.uint32), order)
-    _, reps, sizes = np.unique(key.view(np.dtype((np.void, order))).ravel(),
-                               return_index=True, return_counts=True)
-    in_code_order = np.argsort(reps)
-    reps, sizes = reps[in_code_order], sizes[in_code_order]
-    # |EA(n)| = |GL(n, 2)| * 2^n translations * 2^n linear functions * 2
-    group_order = math.prod(order - (1 << i) for i in range(n_sites)) * order * order * 2
-    if sizes.sum() != 1 << order or any(group_order % int(s) for s in sizes):
-        raise BellkitError("affine classes do not partition the codes")
-    return reps, sizes
+# (smallest code, size) of every EA(n) class of n-variable sign-vector
+# codes, n = 0..4, in code order: 1, 1, 2, 3 and 8 classes (Berlekamp &
+# Welch, IEEE Trans. Inf. Theory 18 (1972) 203). tests/test_analysis.py::
+# TestOrbitCensus::test_table_is_the_ea_orbits recomputes every row as the
+# orbits of the EA generators.
+_AFFINE_CLASSES = (
+    ((0, 2),),
+    ((0, 4),),
+    ((0, 8), (1, 8)),
+    ((0, 16), (1, 128), (3, 112)),
+    ((0, 32), (1, 512), (3, 3840), (7, 17920), (15, 1120), (23, 26880), (279, 14336),
+     (854, 896)),
+)
 
 
 def _orbit_census(n_sites: int) -> np.ndarray:
@@ -119,10 +96,9 @@ def _orbit_census(n_sites: int) -> np.ndarray:
     """
     length = 1 << n_sites
     half = length // 2
-    reps, sizes = _affine_classes(n_sites - 1)
     partners = np.arange(1 << half, dtype=np.uint32) << half
     hist = np.zeros(length + 1, dtype=np.int64)
-    for rep, size in zip(reps.tolist(), sizes.tolist()):
+    for rep, size in _AFFINE_CLASSES[n_sites - 1]:
         hist += size * kernels.classify_batch(partners | rep, length)[1]
     rows = np.array(hadamard.sylvester_masks(length), dtype=np.uint32)
     full = np.uint32((1 << length) - 1)
@@ -191,9 +167,9 @@ def classify(
     n_sites = check_sites("classification", n_sites, STREAM_MAX_SITES)
     seed, jobs = check_integer("seed", seed), check_integer("jobs", jobs)
     if seed < 0:
-        raise BellkitError(f"seed must be nonnegative, got {seed}")
+        raise BellkitError(f"seed must be nonnegative, got {int_text(seed)}")
     if jobs < 1:
-        raise BellkitError(f"jobs must be at least 1, got {jobs}")
+        raise BellkitError(f"jobs must be at least 1, got {int_text(jobs)}")
     length = 1 << n_sites
     if sample_size is None:
         hist = _orbit_census(n_sites)
@@ -207,7 +183,7 @@ def classify(
     if total < 1:
         raise BellkitError("sample size must be positive")
     if total > SAMPLE_MAX_SIZE:
-        raise CapExceededError(f"sample size capped at {SAMPLE_MAX_SIZE}, got {total}")
+        raise CapExceededError(f"sample size capped at {SAMPLE_MAX_SIZE}, got {int_text(total)}")
     zero, hist = _sample_census(length, total, seed, jobs)
     p = int(hist[length]) / total
     return ClassificationReport(
@@ -284,11 +260,12 @@ def max_b0_pair(p: int) -> tuple[int, int]:
 
     v = 2^((p + 1) // 2) has a single set bit; u is zero or, for even
     p > 0, a copy of that bit (bit 0 of u must stay zero). The N-site
-    family is pairs 0 .. 2^N - 2.
+    family is pairs 0 .. 2^N - 2, so p stops at the record cap's family.
     """
     p = check_integer("pair index", p)
     if p < 0:
-        raise BellkitError(f"pair index must be nonnegative, got {p}")
+        raise BellkitError(f"pair index must be nonnegative, got {int_text(p)}")
+    check_index("pair index", p, (1 << RECORD_MAX_SITES) - 1)
     v = 1 << ((p + 1) // 2)
     return (v if p and p % 2 == 0 else 0), v
 
@@ -304,9 +281,9 @@ def max_b0_batches(n_sites: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
     most ``limits.OUTPUT_BATCH_CELLS`` coefficients, and every batch
     meets the family's self-checks before it is yielded.
     """
-    if n_sites < 3:
+    if check_integer("site count", n_sites) < 3:
         raise BellkitError("the construction applies from 3 sites upward")
-    if k not in (0, 1):
+    if check_integer("the repeated observable digit", k) not in (0, 1):
         raise BellkitError("the repeated observable digit must be 0 or 1")
     n_sites = check_sites("family construction", n_sites, RECORD_MAX_SITES)
     half = 1 << (n_sites - 1)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import limits
 from .errors import BellkitError
-from .limits import DENSE_MAX_SITES, check_index, check_integer, check_sites
+from .limits import DENSE_MAX_SITES, check_index, check_integer, check_sites, int_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,10 +82,12 @@ class HadamardMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 1 or self.order & (self.order - 1):
-            raise BellkitError(f"order must be a power of two, got {self.order}")
-        if self.entries.shape != (self.order, self.order):
+        order = check_integer("order", self.order)
+        if order < 1 or order & (order - 1):
+            raise BellkitError(f"order must be a power of two, got {int_text(order)}")
+        if getattr(self.entries, "shape", None) != (order, order):
             raise BellkitError("entry array does not match the declared order")
+        object.__setattr__(self, "order", order)
         self.entries.flags.writeable = False
 
     @property

@@ -185,6 +185,8 @@ def _reduce_angle(phi: float) -> float:
         phi = float(phi)
     except OverflowError:
         raise BellkitError("phi is too large for a float") from None
+    except (TypeError, ValueError):
+        raise BellkitError(f"phi must be a real number, got {phi!r}") from None
     if not math.isfinite(phi):
         raise BellkitError(f"phi must be finite, got {phi}")
     return math.fmod(phi, math.tau)

@@ -50,14 +50,21 @@ def check_integer(what: str, value: object) -> int:
         raise BellkitError(f"{what} must be an integer, got {value!r}") from None
 
 
+def int_text(value: int) -> str:
+    """An integer as error texts write it: decimal, but 2^k for a power of two past 2^64."""
+    if value > 1 << 64 and not value & (value - 1):
+        return f"2^{value.bit_length() - 1}"
+    try:
+        return str(value)
+    except ValueError:  # more digits than str() converts: the sign and the bit length
+        return f"{'-' if value < 0 else ''}<{abs(value).bit_length()}-bit integer>"
+
+
 def check_index(what: str, value: object, stop: int) -> int:
     """value as an int in [0, stop), the one index-range check; otherwise a BellkitError."""
     value = check_integer(what, value)
     if not 0 <= value < stop:
-        # 2^(2^14), the code count at the record cap, has more digits than str() prints
-        if stop > 1 << 64 and not stop & (stop - 1):
-            stop = f"2^{stop.bit_length() - 1}"
-        raise BellkitError(f"{what} {value} out of range [0, {stop})")
+        raise BellkitError(f"{what} {int_text(value)} out of range [0, {int_text(stop)})")
     return value
 
 
@@ -88,6 +95,6 @@ def check_sites(what: str, n_sites: int, max_sites: int, least: int = 1) -> int:
         raise BellkitError(f"site count must be at least {least}")
     if n_sites > max_sites:
         raise CapExceededError(
-            f"{what} capped at {max_sites} sites, got {n_sites}"
+            f"{what} capped at {max_sites} sites, got {int_text(n_sites)}"
         )
     return n_sites

@@ -57,7 +57,7 @@ from operator import add, sub
 from . import hadamard
 from .errors import BellkitError
 from .limits import (MATERIALIZE_MAX_SITES, RECORD_MAX_SITES, check_index,
-                     check_integer, check_integers, check_sites)
+                     check_integer, check_integers, check_sites, int_text)
 
 
 def _check_shape(record) -> None:
@@ -71,7 +71,7 @@ def _check_shape(record) -> None:
     # compared by bit length: a huge n_sites never computes 1 << n_sites
     count = len(record.coeffs)
     if count.bit_length() != record.n_sites + 1 or count & (count - 1):
-        raise BellkitError(f"expected 2^{record.n_sites} coefficients, got {count}")
+        raise BellkitError(f"expected 2^{int_text(record.n_sites)} coefficients, got {count}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -119,6 +119,30 @@ def code_image(codes: np.ndarray, g: np.ndarray, sigma: np.ndarray) -> np.ndarra
     return image
 
 
+def ea_orbits(n_sites: int) -> tuple[tuple[int, int], ...]:
+    """(smallest code, size) of every orbit of ``ea_generators`` on the codes, in code order.
+
+    Min-label propagation: every code starts labelled by itself and takes
+    the smaller label of its image under each generator (a generator's
+    inverse is one of its powers), and pointer jumping (label[label])
+    halves the chains, until no label changes. The oracle for
+    ``analysis._AFFINE_CLASSES``.
+    """
+    codes = np.arange(1 << (1 << n_sites), dtype=np.int64)
+    images = [code_image(codes, g, sigma) for g, sigma in ea_generators(n_sites)]
+    label = codes
+    while True:
+        new = label
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps, sizes = np.unique(label, return_counts=True)
+    return tuple(zip(reps.tolist(), sizes.tolist()))
+
+
 def signs_of_code(code: int, n_sites: int) -> tuple[int, ...]:
     return tuple(1 - 2 * ((code >> j) & 1) for j in range(1 << n_sites))
 

@@ -14,7 +14,7 @@ from bellkit import analysis, inequality as ineq, kernels, lhv, limits
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError, CapExceededError
 from bellkit.limits import SAMPLE_MAX_SIZE
-from conftest import code_image, ea_generators, formula_matrix, read_golden, scan_census
+from conftest import ea_orbits, formula_matrix, read_golden, scan_census
 
 
 class TestTermCount:
@@ -82,7 +82,7 @@ class TestClassifyExhaustive:
         expected = analysis.classify(3, jobs=1)
         report, threads = classify_threads(monkeypatch, 3, jobs=4)
         assert report == expected
-        assert threads == [threading.get_ident()] * (len(analysis._affine_classes(2)[0]) + 1)
+        assert threads == [threading.get_ident()] * (len(analysis._AFFINE_CLASSES[2]) + 1)
 
     @pytest.mark.parametrize("n, sample_size", [(4, None), (5, limits.CENSUS_BATCH_CODES)])
     def test_one_batch_runs_on_the_calling_thread(self, monkeypatch, n, sample_size):
@@ -94,7 +94,7 @@ class TestClassifyExhaustive:
         assert report == expected
         # the exhaustive census makes one call per three-site EA class, then
         # one for the signed Sylvester rows
-        calls = 1 if sample_size else len(analysis._affine_classes(n - 1)[0]) + 1
+        calls = 1 if sample_size else len(analysis._AFFINE_CLASSES[n - 1]) + 1
         assert threads == [threading.get_ident()] * calls
 
 
@@ -228,26 +228,32 @@ class TestOrbitCensus:
         one_term = transforms[np.count_nonzero(transforms, axis=1) == 1]
         assert report.trivial_classes == len(np.unique(np.nonzero(one_term)[1]))
 
-    def test_orbit_counts(self):
-        # one to four sites: 1, 2, 3 and 8 EA classes (Berlekamp & Welch),
-        # where the relabeling group leaves 1, 2, 5 and 39
-        counts = []
-        for n in range(1, 5):
-            reps, sizes = analysis._affine_classes(n)
-            assert sizes.sum() == 1 << (1 << n)
-            assert reps[0] == 0 and np.all(np.diff(reps) > 0)
-            counts.append(len(reps))
-        assert counts == [1, 2, 3, 8]
-        assert sorted(sizes.tolist()) == [32, 512, 896, 1120, 3840, 14336, 17920, 26880]
+    @pytest.mark.parametrize("n", range(5))
+    def test_table_is_the_ea_orbits(self, n):
+        # the frozen rows against the orbits of the EA generators
+        assert analysis._AFFINE_CLASSES[n] == ea_orbits(n)
 
-    def test_four_site_histogram_from_classes(self):
-        # a member's term count is an EA(4) invariant, so the eight
-        # (representative, size) pairs alone give the four-site histogram
-        reps, sizes = analysis._affine_classes(4)
-        hist = np.zeros(17, dtype=np.int64)
-        for rep, size in zip(reps.tolist(), sizes.tolist()):
-            hist += size * kernels.classify_batch(np.array([rep]), 16)[1]
-        assert hist.tolist() == scan_census(4)[1].tolist()
+    def test_orbit_counts(self):
+        # zero to four variables: 1, 1, 2, 3 and 8 EA classes (Berlekamp &
+        # Welch); the relabeling group leaves 1, 2, 5 and 39 at one to four
+        for n, row in enumerate(analysis._AFFINE_CLASSES):
+            order = 1 << n
+            # |EA(n)| = |GL(n, 2)| * 2^n translations * 2^n linear functions * 2
+            group_order = math.prod(order - (1 << i) for i in range(n)) * order * order * 2
+            sizes = [size for _, size in row]
+            assert sum(sizes) == 1 << order
+            assert all(group_order % size == 0 for size in sizes)
+        assert [len(row) for row in analysis._AFFINE_CLASSES] == [1, 1, 2, 3, 8]
+        assert sorted(sizes) == [32, 512, 896, 1120, 3840, 14336, 17920, 26880]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_histogram_from_classes(self, n):
+        # a member's term count is an EA(n) invariant, so the (representative,
+        # size) pairs alone give the n-site histogram
+        hist = np.zeros((1 << n) + 1, dtype=np.int64)
+        for rep, size in analysis._AFFINE_CLASSES[n]:
+            hist += size * kernels.classify_batch(np.array([rep]), 1 << n)[1]
+        assert hist.tolist() == scan_census(n)[1].tolist()
 
     def test_five_sites_exact(self):
         report = analysis.classify(5)
@@ -267,35 +273,25 @@ class TestOrbitCensus:
         analysis.classify(5)
         assert items == [1 << 16] * 8 + [64]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_key_is_constant_on_generator_images(self, n):
-        # each EA class lies in one key group; test_orbit_counts finds as
-        # many groups as Berlekamp & Welch find classes, so they are the classes
-        order = 1 << n
-        codes = np.arange(1 << order, dtype=np.uint32)
-        key = analysis._spectrum_key(codes, order)
-        for g, sigma in ea_generators(n):
-            image = code_image(codes, g, sigma)
-            assert np.array_equal(np.sort(image), codes)
-            assert np.array_equal(analysis._spectrum_key(image, order), key)
-
-    @pytest.mark.parametrize("coarsen", [
-        lambda key: key * 0,
-        lambda key: key % 2,
-        lambda key: np.repeat(key[:, -1:], key.shape[1], axis=1),
-        lambda key: np.minimum(key, 1),
-    ], ids=["one-group", "parity", "smallest-abs-w", "affine-or-not"])
-    def test_coarser_key_is_caught(self, monkeypatch, coarsen):
-        # each merges three-site classes, so a representative stands for
-        # codes whose partners count differently
-        spectrum_key = analysis._spectrum_key
-        monkeypatch.setattr(analysis, "_spectrum_key",
-                            lambda codes, length: coarsen(spectrum_key(codes, length)))
+    @pytest.mark.parametrize("n, corrupt", [
+        (4, lambda row: [row[0], (row[1][0], row[2][1]), (row[2][0], row[1][1]), *row[3:]]),
+        (3, lambda row: row[:-1] + [(row[0][0], row[-1][1])]),
+        (4, lambda row: row[:-1] + [(row[0][0], row[-1][1])]),
+        (3, lambda row: row[:-1]),
+        (4, lambda row: row[:-1]),
+    ], ids=["sizes-swapped-4", "representative-3", "representative-4", "dropped-3",
+            "dropped-4"])
+    def test_corrupt_table_is_caught(self, monkeypatch, n, corrupt):
+        # the two-variable classes share one size, so a swap shows at four sites only
+        table = list(analysis._AFFINE_CLASSES)
+        table[n - 1] = corrupt(list(table[n - 1]))
+        assert table[n - 1] != list(analysis._AFFINE_CLASSES[n - 1])
+        monkeypatch.setattr(analysis, "_AFFINE_CLASSES", tuple(table))
         try:
-            report = analysis.classify(4)
+            report = analysis.classify(n)
         except BellkitError:
             return
-        assert list(report.histogram) != scan_census(4)[1].tolist()
+        assert list(report.histogram) != scan_census(n)[1].tolist()
 
 
 class TestClassifyValidation:
@@ -492,6 +488,16 @@ class TestMaxB0Family:
             analysis.max_b0_family(2, 0)
         with pytest.raises(BellkitError):
             analysis.max_b0_family(3, 2)
+
+    @pytest.mark.parametrize("n, k, error", [
+        ("x", 0, "site count must be an integer, got 'x'"),
+        (3, 1.0, "the repeated observable digit must be an integer, got 1.0"),
+    ], ids=["sites-text", "k-float"])
+    def test_non_integer_inputs(self, n, k, error):
+        # "x" < 3 raised a bare TypeError, and 1.0 passed as the digit 1
+        with pytest.raises(BellkitError, match=f"^{error}$"):
+            analysis.max_b0_family(n, k)
+        assert analysis.max_b0_family(np.int64(3), np.int8(1)) == analysis.max_b0_family(3, 1)
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_closed_form_matches_bell_poly(self, n):

@@ -887,6 +887,9 @@ SINGLE_RECORDS = {
     "classify --n 5": "cli_classify_n5_exhaustive.json",
     "classify --n 5 --format text": "cli_classify_n5_exhaustive.txt",
     "classify --n 5 --sample 1 --seed 1 --format text": "cli_classify_n5_sample1.txt",
+    # the exact request of the benchmark's census workload, and its text side
+    "classify --n 4 --exhaustive --jobs 2": "cli_classify_n4_exhaustive.json",
+    "classify --n 4 --exhaustive --jobs 2 --format text": "cli_classify_n4_exhaustive.txt",
     "identity --n 3": "cli_identity_n3.json",
     "identity --n 3 --format text": "cli_identity_n3.txt",
 }

@@ -132,6 +132,24 @@ class TestBuild:
         assert abs(det) == sympy.Integer(order) ** sympy.Rational(order, 2)
 
 
+class TestMatrixFields:
+    @pytest.mark.parametrize("order, entries, error", [
+        (2.0, np.ones((2, 2), dtype=np.int8), "order must be an integer, got 2.0"),
+        (3, np.ones((3, 3), dtype=np.int8), "order must be a power of two, got 3"),
+        (4, None, "entry array does not match the declared order"),
+        (4, np.ones((2, 2), dtype=np.int8), "entry array does not match the declared order"),
+    ], ids=["order-float", "order-3", "entries-None", "entries-shape"])
+    def test_rejected(self, order, entries, error):
+        # 2.0 raised a bare TypeError at 2.0 & 1.0, None an AttributeError at .shape
+        with pytest.raises(BellkitError, match=f"^{error}$"):
+            hadamard.HadamardMatrix(order, entries)
+
+    def test_numpy_order_is_stored_as_int(self):
+        # np.int64 has no bit_length, so n_sites raised an AttributeError
+        h = hadamard.HadamardMatrix(np.int64(4), hadamard.build(2).entries.copy())
+        assert type(h.order) is int and h.n_sites == 2
+
+
 class TestKronecker:
     def test_h2_squared_is_h4(self):
         h2 = hadamard.build(1)

@@ -299,6 +299,13 @@ class TestSinglet:
         with pytest.raises(BellkitError, match="phi is too large for a float"):
             lhv.tilt_identity(phi)
 
+    @pytest.mark.parametrize("phi", ["x", None], ids=["text", "None"])
+    def test_rejects_tilt_that_is_not_a_number(self, phi):
+        # float("x") raised a bare ValueError, float(None) a TypeError
+        for call in (lhv.expectation_table, lhv.tilt_identity):
+            with pytest.raises(BellkitError, match=f"^phi must be a real number, got {phi!r}$"):
+                call(phi=phi)
+
     @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
     def test_identity_rejects_non_finite_tilt(self, phi):
         with pytest.raises(BellkitError, match="finite"):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from bellkit import analysis, coefficients, hadamard, inequality as ineq, lhv
 from bellkit import polynomial as poly
 from bellkit.errors import BellkitError
-from bellkit.limits import check_sites
+from bellkit.limits import check_sites, int_text
 
 
 class TestSiteCountType:
@@ -61,9 +62,12 @@ class TestRecordSiteCount:
                     == [type(c) for c in getattr(want, "coeffs", ())])
 
 
+# more digits than the interpreter's int-to-text conversion allows, and not a power of two
+HUGE = (1 << 20000) + 1
+
 # (call of one integer argument, its name in errors, stop): every index-taking
-# call, with the stop of its range; None where the range has no upper end or
-# the argument is a site count
+# call, with the stop of its range; None where the range has no upper end, the
+# argument is a site count, or a negative value has its own message (max_b0_pair)
 INDEX_CALLS = {
     "zero_probability": (lambda k: analysis.zero_probability(3, k), "position", 8),
     "summand_poly": (lambda k: poly.summand_poly(3, k), "summand index", 4),
@@ -124,10 +128,32 @@ class TestIndexType:
         with pytest.raises(BellkitError, match=f"^{error}$"):
             coefficients.setting_digits(0, n)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["huge", "huge-negative"])
+    @pytest.mark.parametrize("call, what, stop", INDEX_CALLS.values(), ids=INDEX_CALLS)
+    def test_huge_value_is_a_result_or_an_error(self, call, what, stop, sign):
+        # more decimal digits than str() prints: the message raised a ValueError,
+        # and max_b0_pair(HUGE) an OverflowError at 1 << (p + 1) // 2
+        try:
+            call(sign * HUGE)
+        except BellkitError as error:
+            if stop is not None:
+                assert str(error) == f"{what} {int_text(sign * HUGE)} out of range [0, {stop})"
+            return
+        assert stop is None
+
     def test_negative_pair_index(self):
         # a negative shift count: ValueError
         with pytest.raises(BellkitError, match="pair index must be nonnegative, got -3"):
             analysis.max_b0_pair(-3)
+
+    def test_pair_index_stops_at_the_record_family(self):
+        # v = 2^((p + 1) // 2) took p / 2 bits: MemoryError at p = 2^64
+        stop = (1 << 14) - 1
+        assert analysis.max_b0_pair(stop - 1) == (1 << 8191, 1 << 8191)
+        for p in (stop, 1 << 64):
+            with pytest.raises(BellkitError,
+                               match=rf"^pair index {int_text(p)} out of range \[0, {stop}\)$"):
+                analysis.max_b0_pair(p)
 
 
 class TestCoefficientType:
@@ -159,3 +185,30 @@ class TestCoefficientType:
         with pytest.raises(BellkitError,
                            match=f"^{what} must be a sequence of integers, got int$"):
             call(5)
+
+
+class TestIntText:
+    @pytest.mark.parametrize("value, text", [
+        (0, "0"), (-3, "-3"), (10**20, "100000000000000000000"), (1 << 64, "18446744073709551616"),
+        (1 << 65, "2^65"), (1 << 16384, "2^16384"), (-(1 << 65), "-36893488147419103232"),
+        (HUGE, "<20001-bit integer>"), (-HUGE, "-<20001-bit integer>"),
+    ], ids=["0", "-3", "10^20", "2^64", "2^65", "2^16384", "-2^65", "huge", "huge-negative"])
+    def test_text(self, value, text):
+        assert int_text(value) == text
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: check_sites("test", HUGE, 5),
+         "test capped at 5 sites, got <20001-bit integer>"),
+        (lambda: analysis.classify(3, sample_size=HUGE),
+         "sample size capped at 4294967296, got <20001-bit integer>"),
+        (lambda: analysis.classify(3, sample_size=10, seed=-HUGE),
+         "seed must be nonnegative, got -<20001-bit integer>"),
+        (lambda: analysis.classify(3, jobs=-HUGE),
+         "jobs must be at least 1, got -<20001-bit integer>"),
+        (lambda: hadamard.HadamardMatrix(HUGE, np.ones((1, 1), dtype=np.int8)),
+         "order must be a power of two, got <20001-bit integer>"),
+    ], ids=["check_sites", "sample-size", "seed", "jobs", "HadamardMatrix"])
+    def test_huge_integer_in_a_message(self, call, error):
+        # each was a ValueError from str()
+        with pytest.raises(BellkitError, match=f"^{re.escape(error)}$"):
+            call()

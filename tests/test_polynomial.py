@@ -614,10 +614,14 @@ class TestRecordSiteChecks:
 
     @pytest.mark.parametrize("record", [poly.BellPolynomial, poly.NormalizedBellPolynomial])
     def test_huge_site_count_is_compared_by_bit_length(self, record):
-        # 1 << 10**20 used to raise OverflowError in the check's own message
+        # 1 << 10**20 used to raise OverflowError in the check's own message,
+        # and str() a ValueError past its digit limit
         with pytest.raises(BellkitError, match=r"expected 2\^100000000000000000000 "
                                                r"coefficients, got 0"):
             record(10**20, ())
+        with pytest.raises(BellkitError,
+                           match=r"^expected 2\^<20001-bit integer> coefficients, got 0$"):
+            record((1 << 20000) + 1, ())
 
     @pytest.mark.parametrize("count", [0, 3, 5, 8])
     def test_wrong_length(self, count):
